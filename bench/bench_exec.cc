@@ -30,7 +30,6 @@
 #include "ir/lowering.h"
 #include "oracle/oracle.h"
 #include "support/parse_num.h"
-#include "vm/bytecode.h"
 #include "vm/vm.h"
 
 using namespace ubfuzz;
@@ -113,20 +112,16 @@ main(int argc, char **argv)
     // tracing, no profiling, no ground truth. Step-heavy programs so
     // the per-step dispatch cost dominates per-run setup; same binary,
     // same steps — only the interpreter differs. Two shapes: an
-    // array-crunching loop (Load+Bin / Bin+Store / Cmp+Br pairs) and a
-    // call/branch-heavy workload, so superinstruction coverage is
-    // measured on more than one pairing profile. Each fast machine
-    // shares a default CodeCache: the first run translates at the
-    // baseline tier, the second quickens to the fused tier, and the
-    // timed runs all execute fused records.
+    // array-crunching loop and a call/branch-heavy workload. The first
+    // bytecode run translates; the timed runs hit the machine's
+    // CodeCache.
     auto measureWorkload = [&](const char *name, const char *src) {
         auto prog = frontend::parseOrDie(src);
         ast::PrintedProgram printed2 = ast::printProgram(*prog);
         ir::Module mod = ir::lowerProgram(*prog, printed2.map);
         vm::Machine refMachine;
         vm::ExecResult refRes = refMachine.runReference(mod);
-        vm::CodeCache cache;
-        vm::Machine fastMachine(&cache);
+        vm::Machine fastMachine;
         vm::ExecResult fastRes = fastMachine.run(mod);
         if (fastRes.checksum != refRes.checksum ||
             fastRes.steps != refRes.steps) {
@@ -160,24 +155,6 @@ main(int argc, char **argv)
                     fastMachine.stats().translations,
                     fastMachine.stats().translationHits,
                     fastMachine.stats().executions);
-        vm::bc::Program fused = vm::bc::translate(mod, vm::bc::kTierFused);
-        std::printf("fused records:    %u of %zu (%.1f%% of records)\n",
-                    fused.fusedRecords, fused.code.size(),
-                    100.0 * fused.fusedRecords / fused.code.size());
-        std::printf("quickened:        %zu translation(s)\n",
-                    cache.quickenedTranslations());
-        if (fused.fusedRecords == 0) {
-            std::fprintf(stderr,
-                         "FAIL: %s: fusion pass found no pairs\n", name);
-            std::exit(1);
-        }
-        if (cache.quickenedTranslations() == 0 ||
-            cache.fusedRecords() != fused.fusedRecords) {
-            std::fprintf(stderr,
-                         "FAIL: %s: hot binary was not quickened\n",
-                         name);
-            std::exit(1);
-        }
     };
     measureWorkload("array loop", R"(int a[64];
 int helper(int x) {

@@ -136,12 +136,6 @@ main(int argc, char **argv)
     // second flattening.
     std::printf("translations:     %zu\n", stats.exec.translations);
     std::printf("translation hits: %zu\n", stats.exec.translationHits);
-    // Quickening: hot binaries re-flattened at the fused tier (extra
-    // work outside the identity above) and how many superinstruction
-    // records those re-translations produced.
-    std::printf("quickened:        %zu\n",
-                stats.exec.quickenedTranslations);
-    std::printf("fused records:    %zu\n", stats.exec.fusedRecords);
     std::printf("dedup skips:      %zu\n", stats.exec.dedupSkips);
     std::printf("corpus replays:   %zu\n", stats.exec.corpusSkips);
     // Cap pressure: how often the corpus memo / per-unit code cache

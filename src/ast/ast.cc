@@ -394,8 +394,10 @@ Program::builtin(Builtin b)
         FunctionDecl *f = ctx_.make<FunctionDecl>(name, ret);
         int i = 0;
         for (const Type *pt : params) {
-            f->addParam(ctx_.make<VarDecl>("p" + std::to_string(i++), pt,
-                                           Storage::Param, nullptr));
+            std::string param = "p";
+            param += std::to_string(i++);
+            f->addParam(
+                ctx_.make<VarDecl>(param, pt, Storage::Param, nullptr));
         }
         f->setBuiltin(b);
         builtins_.push_back(f);

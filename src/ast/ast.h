@@ -805,8 +805,8 @@ class ASTContext
         return construct<T>(nextId_++, std::forward<Args>(args)...);
     }
 
-    /** Allocate a node with a specific nodeId (cloning support);
-     *  panics if the id is already taken. */
+    /** Allocate a node with a specific nodeId; panics if the id is
+     *  already taken. */
     template <typename T, typename... Args>
     T *
     makeWithId(uint32_t id, Args &&...args)
@@ -814,19 +814,6 @@ class ASTContext
         if (id >= nextId_)
             nextId_ = id + 1;
         return construct<T>(id, std::forward<Args>(args)...);
-    }
-
-    uint32_t peekNextId() const { return nextId_; }
-
-    /** Ensure future make() ids start at or above @p n. The rebuild
-     *  cloner replays source ids via makeWithId but creates builtins
-     *  lazily with fresh ids; starting the counter past every source
-     *  id keeps the two streams from colliding. */
-    void
-    reserveIds(uint32_t n)
-    {
-        if (n > nextId_)
-            nextId_ = n;
     }
 
     /** Number of nodes allocated so far (== one past the last index). */
@@ -972,7 +959,6 @@ class Program
   private:
     /** The memcpy clone repopulates builtins_ directly. */
     friend ClonedProgram cloneProgram(const Program &);
-    friend ClonedProgram cloneProgramByRebuild(const Program &);
     ASTContext ctx_;
     std::vector<StructDecl *> structs_;
     std::vector<VarDecl *> globals_;

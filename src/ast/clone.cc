@@ -1,7 +1,6 @@
 #include "ast/clone.h"
 
 #include <atomic>
-#include <unordered_map>
 #include <vector>
 
 namespace ubfuzz::ast {
@@ -9,266 +8,6 @@ namespace ubfuzz::ast {
 namespace {
 
 std::atomic<uint64_t> cloneCalls{0};
-
-/**
- * Stateful node-by-node cloner: maps decls and types from source to
- * destination. This is the pre-arena algorithm, kept verbatim as the
- * baseline the memcpy clone is benchmarked against.
- */
-class Cloner
-{
-  public:
-    explicit Cloner(const Program &src)
-        : src_(src), dst_(std::make_unique<Program>())
-    {}
-
-    ClonedProgram
-    run()
-    {
-        // Builtins referenced by calls are created lazily in the
-        // destination with *fresh* ids; start the fresh-id counter
-        // past every source id so they never collide with a replayed
-        // nodeId (the arena context panics on duplicates).
-        dst_->ctx().reserveIds(src_.ctx().peekNextId());
-        // Structs first: types may reference them.
-        for (const StructDecl *s : src_.structs()) {
-            auto *ns = makeNode<StructDecl>(s, s->name());
-            for (const FieldDecl *f : s->fields()) {
-                auto *nf = makeNode<FieldDecl>(f, f->name(),
-                                               mapType(f->type()));
-                fieldMap_[f] = nf;
-                ns->addField(nf);
-            }
-            structMap_[s] = ns;
-            dst_->structs().push_back(ns);
-        }
-        // Global decls (two-phase: inits may reference other globals).
-        for (const VarDecl *g : src_.globals()) {
-            auto *ng = makeNode<VarDecl>(g, g->name(), mapType(g->type()),
-                                         g->storage(), nullptr);
-            varMap_[g] = ng;
-            dst_->globals().push_back(ng);
-        }
-        // Function signatures (two-phase: calls may be forward).
-        for (const FunctionDecl *f : src_.functions()) {
-            auto *nf = makeNode<FunctionDecl>(f, f->name(),
-                                              mapType(f->retType()));
-            nf->setBuiltin(f->builtin());
-            for (const VarDecl *p : f->params()) {
-                auto *np = makeNode<VarDecl>(p, p->name(),
-                                             mapType(p->type()),
-                                             p->storage(), nullptr);
-                varMap_[p] = np;
-                nf->addParam(np);
-            }
-            funcMap_[f] = nf;
-            dst_->functions().push_back(nf);
-        }
-        // Global initializers.
-        for (size_t i = 0; i < src_.globals().size(); i++) {
-            const VarDecl *g = src_.globals()[i];
-            if (g->init())
-                dst_->globals()[i]->setInit(cloneExpr(g->init()));
-        }
-        // Function bodies.
-        for (size_t i = 0; i < src_.functions().size(); i++) {
-            const FunctionDecl *f = src_.functions()[i];
-            if (f->body()) {
-                dst_->functions()[i]->setBody(
-                    cloneStmt(f->body())->as<Block>());
-            }
-        }
-        if (src_.main())
-            dst_->setMain(funcMap_.at(src_.main()));
-
-        ClonedProgram result;
-        result.program = std::move(dst_);
-        return result;
-    }
-
-  private:
-    template <typename T, typename... Args>
-    T *
-    makeNode(const Node *orig, Args &&...args)
-    {
-        return dst_->ctx().makeWithId<T>(orig->nodeId(),
-                                         std::forward<Args>(args)...);
-    }
-
-    const Type *
-    mapType(const Type *t)
-    {
-        if (!t)
-            return nullptr;
-        TypeTable &tt = dst_->types();
-        switch (t->kind()) {
-          case Type::Kind::Scalar:
-            return tt.scalar(t->scalar());
-          case Type::Kind::Pointer:
-            return tt.pointer(mapType(t->element()));
-          case Type::Kind::Array:
-            return tt.array(mapType(t->element()), t->arraySize());
-          case Type::Kind::Struct:
-            return tt.structTy(structMap_.at(t->structDecl()));
-        }
-        UBF_PANIC("unknown type kind");
-    }
-
-    FunctionDecl *
-    mapFunc(const FunctionDecl *f)
-    {
-        auto it = funcMap_.find(f);
-        if (it != funcMap_.end())
-            return it->second;
-        // Builtins are created on demand in the destination program.
-        UBF_ASSERT(f->isBuiltin(), "call to unknown function in clone");
-        FunctionDecl *nf = dst_->builtin(f->builtin());
-        funcMap_[f] = nf;
-        return nf;
-    }
-
-    Expr *
-    cloneExpr(const Expr *e)
-    {
-        switch (e->kind()) {
-          case NodeKind::IntLit:
-            return makeNode<IntLit>(e, e->as<IntLit>()->value(),
-                                    mapType(e->type()));
-          case NodeKind::VarRef:
-            return makeNode<VarRef>(e, varMap_.at(e->as<VarRef>()->decl()),
-                                    mapType(e->type()));
-          case NodeKind::Unary: {
-            auto *u = e->as<Unary>();
-            return makeNode<Unary>(e, u->op(), cloneExpr(u->sub()),
-                                   mapType(e->type()));
-          }
-          case NodeKind::Binary: {
-            auto *b = e->as<Binary>();
-            return makeNode<Binary>(e, b->op(), cloneExpr(b->lhs()),
-                                    cloneExpr(b->rhs()),
-                                    mapType(e->type()));
-          }
-          case NodeKind::Select: {
-            auto *s = e->as<Select>();
-            return makeNode<Select>(e, cloneExpr(s->cond()),
-                                    cloneExpr(s->trueExpr()),
-                                    cloneExpr(s->falseExpr()),
-                                    mapType(e->type()));
-          }
-          case NodeKind::Index: {
-            auto *ix = e->as<Index>();
-            return makeNode<Index>(e, cloneExpr(ix->base()),
-                                   cloneExpr(ix->index()),
-                                   mapType(e->type()));
-          }
-          case NodeKind::Member: {
-            auto *m = e->as<Member>();
-            return makeNode<Member>(e, cloneExpr(m->base()),
-                                    fieldMap_.at(m->field()), m->isArrow(),
-                                    mapType(e->type()));
-          }
-          case NodeKind::Cast:
-            return makeNode<Cast>(e, cloneExpr(e->as<Cast>()->sub()),
-                                  mapType(e->type()));
-          case NodeKind::Call: {
-            auto *c = e->as<Call>();
-            std::vector<Expr *> args;
-            args.reserve(c->args().size());
-            for (const Expr *a : c->args())
-                args.push_back(cloneExpr(a));
-            return makeNode<Call>(e, mapFunc(c->callee()), std::move(args),
-                                  mapType(e->type()));
-          }
-          case NodeKind::InitList: {
-            auto *il = e->as<InitList>();
-            std::vector<Expr *> elems;
-            elems.reserve(il->elems().size());
-            for (const Expr *el : il->elems())
-                elems.push_back(cloneExpr(el));
-            return makeNode<InitList>(e, std::move(elems),
-                                      mapType(e->type()));
-          }
-          default:
-            UBF_PANIC("cloneExpr: not an expression");
-        }
-    }
-
-    VarDecl *
-    cloneLocal(const VarDecl *v)
-    {
-        auto *nv = makeNode<VarDecl>(v, v->name(), mapType(v->type()),
-                                     v->storage(), nullptr);
-        varMap_[v] = nv;
-        if (v->init())
-            nv->setInit(cloneExpr(v->init()));
-        return nv;
-    }
-
-    Stmt *
-    cloneStmt(const Stmt *s)
-    {
-        switch (s->kind()) {
-          case NodeKind::DeclStmt:
-            return makeNode<DeclStmt>(
-                s, cloneLocal(s->as<DeclStmt>()->var()));
-          case NodeKind::AssignStmt: {
-            auto *a = s->as<AssignStmt>();
-            return makeNode<AssignStmt>(s, a->op(), cloneExpr(a->lhs()),
-                                        cloneExpr(a->rhs()));
-          }
-          case NodeKind::ExprStmt:
-            return makeNode<ExprStmt>(
-                s, cloneExpr(s->as<ExprStmt>()->expr()));
-          case NodeKind::IfStmt: {
-            auto *i = s->as<IfStmt>();
-            Expr *cond = cloneExpr(i->cond());
-            Block *then_b = cloneStmt(i->thenBlock())->as<Block>();
-            Block *else_b =
-                i->elseBlock() ? cloneStmt(i->elseBlock())->as<Block>()
-                               : nullptr;
-            return makeNode<IfStmt>(s, cond, then_b, else_b);
-          }
-          case NodeKind::ForStmt: {
-            auto *f = s->as<ForStmt>();
-            Stmt *init = f->init() ? cloneStmt(f->init()) : nullptr;
-            Expr *cond = f->cond() ? cloneExpr(f->cond()) : nullptr;
-            Stmt *step = f->step() ? cloneStmt(f->step()) : nullptr;
-            Block *body = cloneStmt(f->body())->as<Block>();
-            return makeNode<ForStmt>(s, init, cond, step, body);
-          }
-          case NodeKind::WhileStmt: {
-            auto *w = s->as<WhileStmt>();
-            Expr *cond = cloneExpr(w->cond());
-            return makeNode<WhileStmt>(s, cond,
-                                       cloneStmt(w->body())->as<Block>());
-          }
-          case NodeKind::Block: {
-            auto *b = makeNode<Block>(s);
-            for (const Stmt *child : s->as<Block>()->stmts())
-                b->append(cloneStmt(child));
-            return b;
-          }
-          case NodeKind::ReturnStmt: {
-            auto *r = s->as<ReturnStmt>();
-            return makeNode<ReturnStmt>(
-                s, r->value() ? cloneExpr(r->value()) : nullptr);
-          }
-          case NodeKind::BreakStmt:
-            return makeNode<BreakStmt>(s);
-          case NodeKind::ContinueStmt:
-            return makeNode<ContinueStmt>(s);
-          default:
-            UBF_PANIC("cloneStmt: not a statement");
-        }
-    }
-
-    const Program &src_;
-    std::unique_ptr<Program> dst_;
-    std::unordered_map<const StructDecl *, StructDecl *> structMap_;
-    std::unordered_map<const FieldDecl *, FieldDecl *> fieldMap_;
-    std::unordered_map<const VarDecl *, VarDecl *> varMap_;
-    std::unordered_map<const FunctionDecl *, FunctionDecl *> funcMap_;
-};
 
 } // namespace
 
@@ -307,12 +46,6 @@ cloneProgram(const Program &src)
         dst.main_ = map(src.main_)->as<FunctionDecl>();
 
     return result;
-}
-
-ClonedProgram
-cloneProgramByRebuild(const Program &src)
-{
-    return Cloner(src).run();
 }
 
 uint64_t

@@ -10,8 +10,7 @@
  * With the arena representation a clone is a chunk memcpy plus a
  * context-pointer patch: node ids, arena indices, child indices, and
  * TypeRefs all carry over verbatim, so no per-node rebuild and no
- * id-map reconstruction happen. The old node-by-node rebuild survives
- * as cloneProgramByRebuild, kept as the bench_clone baseline.
+ * id-map reconstruction happen.
  */
 
 #ifndef UBFUZZ_AST_CLONE_H
@@ -49,13 +48,6 @@ struct ClonedProgram
 
 /** Deep-clone @p src, preserving node ids (arena memcpy + patch). */
 ClonedProgram cloneProgram(const Program &src);
-
-/**
- * Deep-clone @p src by re-making every node (the pre-arena algorithm).
- * Exists as the baseline bench_clone measures cloneProgram against;
- * node ids are preserved, arena layout may differ.
- */
-ClonedProgram cloneProgramByRebuild(const Program &src);
 
 /** Number of cloneProgram calls so far in this process (monotonic).
  *  Lets callers assert how many clones an operation performed. */

@@ -1,6 +1,5 @@
 #include "campaign/store.h"
 
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 
@@ -15,9 +14,10 @@ using support::ByteWriter;
 
 namespace {
 
-/** 8-byte journal magic; the trailing '1' is a coarse format marker on
- *  top of the explicit version field. */
-constexpr char kMagic[8] = {'U', 'B', 'F', 'J', 'R', 'N', 'L', '1'};
+/** 8-byte journal magic "UBFJRNL1" as the little-endian u64 it is
+ *  stored as; the trailing '1' is a coarse format marker on top of the
+ *  explicit version field. */
+constexpr uint64_t kMagic = 0x314C4E524A464255ULL;
 
 /** Frame header: payload length (u32) + FNV-1a checksum (u64). */
 constexpr size_t kFrameHeaderSize = 12;
@@ -25,8 +25,7 @@ constexpr size_t kFrameHeaderSize = 12;
 void
 putManifest(ByteWriter &w, const Manifest &m)
 {
-    for (char c : kMagic)
-        w.u8(static_cast<uint8_t>(c));
+    w.u64(kMagic);
     w.u32(m.formatVersion);
     w.u32(m.codeVersion);
     w.u64(m.campaignSeed);
@@ -39,10 +38,8 @@ putManifest(ByteWriter &w, const Manifest &m)
 bool
 getManifest(ByteReader &r, Manifest &m)
 {
-    char magic[8];
-    for (char &c : magic)
-        c = static_cast<char>(r.u8());
-    if (!r.ok() || std::memcmp(magic, kMagic, 8) != 0)
+    r.expectU64(kMagic);
+    if (!r.ok())
         return false;
     m.formatVersion = r.u32();
     m.codeVersion = r.u32();
@@ -237,8 +234,15 @@ CampaignStore::open(const std::string &dir, const Manifest &expected,
         }
         ByteWriter w;
         putManifest(w, expected);
-        std::fwrite(w.data().data(), 1, w.size(), store->file_);
-        std::fflush(store->file_);
+        // A buffered fwrite reports the full count even on a full
+        // disk; the write error only surfaces at fflush.
+        if (std::fwrite(w.data().data(), 1, w.size(), store->file_) !=
+                w.size() ||
+            std::fflush(store->file_) != 0) {
+            if (error)
+                *error = "cannot write manifest to " + path.string();
+            return nullptr;
+        }
         return store;
     }
 
@@ -307,8 +311,11 @@ CampaignStore::append(const UnitRecord &rec)
     UBF_ASSERT(written == bytes.size(),
                "short journal write (disk full?)");
     // Flush per record: a killed process can then only lose the unit
-    // it was still computing, never one it reported complete.
-    std::fflush(file_);
+    // it was still computing, never one it reported complete. A
+    // buffered fwrite returns the full count even when the disk is
+    // full; the write error shows up here.
+    const int flushed = std::fflush(file_);
+    UBF_ASSERT(flushed == 0, "journal flush failed (disk full?)");
 }
 
 bool

@@ -13,7 +13,8 @@ std::string
 CompilerConfig::str() const
 {
     std::string s = vendorName(vendor);
-    s += "-" + std::to_string(effectiveVersion());
+    s += '-';
+    s += std::to_string(effectiveVersion());
     s += " ";
     s += optLevelName(level);
     if (sanitizer != SanitizerKind::None) {

@@ -228,13 +228,8 @@ class Campaign
         runUnitInner(index);
         // The unit's bytecode cache dissolves with it; fold its
         // stop-admitting count into the unit's work counters so the
-        // campaign totals expose cap pressure, and its quickening
-        // counters so the totals expose how much of the execution load
-        // ran on fused translations.
+        // campaign totals expose cap pressure.
         stats_.exec.translationCapRejects += codeCache_.capRejects();
-        stats_.exec.quickenedTranslations +=
-            codeCache_.quickenedTranslations();
-        stats_.exec.fusedRecords += codeCache_.fusedRecords();
         return std::move(stats_);
     }
 
@@ -381,7 +376,10 @@ class Campaign
         vm::Machine machine(&codeCache_);
         vm::ExecOptions opts;
         opts.stepLimit = cfg_.stepLimit;
-        vm::ExecResult base = machine.run(bin.module, opts);
+        // Keyed once: every fault run below re-executes this binary
+        // and resolves to the cached translation.
+        const ir::BinaryKey key = ir::binaryKey(bin.module);
+        vm::ExecResult base = machine.run(bin.module, opts, &key);
         if (base.kind != vm::ExecResult::Kind::Timeout &&
             base.steps > 1) {
             for (int k = 0; k < cfg_.faultsPerProgram; k++) {
@@ -392,7 +390,7 @@ class Campaign
                 vm::ExecOptions fopts;
                 fopts.stepLimit = cfg_.stepLimit;
                 fopts.fault = &plan;
-                vm::ExecResult r = machine.run(bin.module, fopts);
+                vm::ExecResult r = machine.run(bin.module, fopts, &key);
                 stats_.harden.faultsInjected++;
                 if (r.kind == vm::ExecResult::Kind::Report &&
                     r.report == vm::ReportKind::HardeningFault) {
@@ -818,7 +816,7 @@ statsInvariantViolation(const CampaignStats &s)
 CampaignStats
 runCampaign(const CampaignConfig &config)
 {
-    return runCampaignParallel(config);
+    return runCampaignService(config, ServiceOptions{}).stats;
 }
 
 } // namespace ubfuzz::fuzzer

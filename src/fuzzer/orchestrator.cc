@@ -260,10 +260,4 @@ runCampaignService(const CampaignConfig &config,
     return res;
 }
 
-CampaignStats
-runCampaignParallel(const CampaignConfig &config)
-{
-    return runCampaignService(config, ServiceOptions{}).stats;
-}
-
 } // namespace ubfuzz::fuzzer

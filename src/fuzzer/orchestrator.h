@@ -110,14 +110,6 @@ struct ServiceResult
 ServiceResult runCampaignService(const CampaignConfig &config,
                                  const ServiceOptions &options);
 
-/**
- * Run a campaign sharded across `config.jobs` worker threads (clamped
- * to [1, unit count]). `jobs <= 1` runs on the calling thread. The
- * result is identical for every jobs value. (Equivalent to
- * runCampaignService with default options.)
- */
-CampaignStats runCampaignParallel(const CampaignConfig &config);
-
 /** Resolve a --jobs request: 0 or negative means "all hardware threads". */
 int resolveJobs(int requested);
 

@@ -146,8 +146,11 @@ namespace {
 std::string
 valueText(const Value &v)
 {
-    if (v.isReg())
-        return "%" + std::to_string(v.reg);
+    if (v.isReg()) {
+        std::string s = "%";
+        s += std::to_string(v.reg);
+        return s;
+    }
     if (v.isImm())
         return std::to_string(static_cast<int64_t>(v.imm));
     return "_";

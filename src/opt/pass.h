@@ -15,7 +15,6 @@
 #include <memory>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "ir/ir.h"
 #include "support/toolchain.h"
@@ -59,24 +58,9 @@ std::unique_ptr<Pass> createSimplifyCFG();
  */
 std::unique_ptr<Pass> createLifetimeHoist();
 
-/** Build the per-vendor pass list for @p level and @p stage. */
-std::vector<std::unique_ptr<Pass>> buildPipeline(Vendor vendor,
-                                                 OptLevel level,
-                                                 Stage stage);
-
-/** Run a pipeline over every function (iterating to a cheap fixpoint). */
-void runPipeline(ir::Module &m,
-                 const std::vector<std::unique_ptr<Pass>> &pipeline,
-                 int iterations = 1);
-
 /** Fixpoint rounds the Figure 2 pipeline grants @p stage at @p level
  *  (-O2 and up run the early optimizer twice). */
 int stageIterations(OptLevel level, Stage stage);
-
-/** Build and run the @p stage pipeline for (vendor, level) on @p m —
- *  the one entry point the staged compiler uses for both halves. */
-void runStagePipeline(ir::Module &m, Vendor vendor, OptLevel level,
-                      Stage stage);
 
 /**
  * The representative (vendor, level) whose *early* pipeline is
@@ -87,8 +71,10 @@ void runStagePipeline(ir::Module &m, Vendor vendor, OptLevel level,
  * The CompilationCache keys early-opt modules by this point, letting
  * equivalent matrix columns share one optimizer run.
  *
- * Must be kept in sync with buildPipeline and stageIterations; the
- * test suite cross-checks the equivalence on generated programs.
+ * Must be kept in sync with passes::buildEarlyPipeline and
+ * stageIterations; the test suite checks that every point shares its
+ * representative's pipeline fingerprint and round count, and that both
+ * produce identical modules on generated programs.
  */
 std::pair<Vendor, OptLevel> canonicalEarlyOptPoint(Vendor vendor,
                                                    OptLevel level);

@@ -2,95 +2,12 @@
 
 namespace ubfuzz::opt {
 
-std::vector<std::unique_ptr<Pass>>
-buildPipeline(Vendor vendor, OptLevel level, Stage stage)
-{
-    std::vector<std::unique_ptr<Pass>> p;
-    if (stage == Stage::EarlyOpt) {
-        // Even -O0 performs local constant folding (§1: "even with -O0,
-        // some basic optimizations, such as constant folding, may still
-        // optimize away the UB").
-        p.push_back(createConstFold());
-        if (level == OptLevel::O0)
-            return p;
-        p.push_back(createPeephole(vendor));
-        if (vendor == Vendor::GCC) {
-            // GCC: CSE and DSE arrive at -Os/-O2; store forwarding and
-            // lifetime hoisting are -O2/-O3 features.
-            p.push_back(createDCE());
-            p.push_back(createSimplifyCFG());
-            if (optAtLeast(level, OptLevel::Os)) {
-                p.push_back(createCSE());
-                p.push_back(createDSE());
-            }
-            if (optAtLeast(level, OptLevel::O2)) {
-                p.push_back(createStoreForward());
-                p.push_back(createConstFold());
-                p.push_back(createDCE());
-            }
-            if (level == OptLevel::O3)
-                p.push_back(createLifetimeHoist());
-        } else {
-            // LLVM: more eager at -O1 (store forwarding, DSE), with an
-            // extra combine round at -O2 and above.
-            p.push_back(createCSE());
-            p.push_back(createStoreForward());
-            p.push_back(createConstFold());
-            p.push_back(createDSE());
-            p.push_back(createDCE());
-            p.push_back(createSimplifyCFG());
-            if (optAtLeast(level, OptLevel::O2)) {
-                p.push_back(createPeephole(vendor));
-                p.push_back(createConstFold());
-                p.push_back(createDCE());
-            }
-        }
-        return p;
-    }
-    // Late stage (after sanitizer instrumentation): a lighter cleanup
-    // round. Sanitizer checks are opaque side-effecting instructions
-    // here, exactly like __asan_report calls in real compilers.
-    if (level == OptLevel::O0)
-        return p;
-    p.push_back(createConstFold());
-    p.push_back(createCSE());
-    p.push_back(createDCE());
-    p.push_back(createSimplifyCFG());
-    if (optAtLeast(level, OptLevel::O2))
-        p.push_back(createDSE());
-    return p;
-}
-
-void
-runPipeline(ir::Module &m,
-            const std::vector<std::unique_ptr<Pass>> &pipeline,
-            int iterations)
-{
-    for (int iter = 0; iter < iterations; iter++) {
-        bool changed = false;
-        for (ir::Function &f : m.functions) {
-            for (const auto &pass : pipeline)
-                changed |= pass->run(m, f);
-        }
-        if (!changed)
-            break;
-    }
-}
-
 int
 stageIterations(OptLevel level, Stage stage)
 {
     if (stage == Stage::EarlyOpt)
         return optAtLeast(level, OptLevel::O2) ? 2 : 1;
     return 1;
-}
-
-void
-runStagePipeline(ir::Module &m, Vendor vendor, OptLevel level,
-                 Stage stage)
-{
-    auto pipeline = buildPipeline(vendor, level, stage);
-    runPipeline(m, pipeline, stageIterations(level, stage));
 }
 
 std::pair<Vendor, OptLevel>

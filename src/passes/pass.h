@@ -4,9 +4,9 @@
  * sanitizer instrumentation, and hardening.
  *
  * Before this layer existed the repository had two pass systems living
- * side by side: the seven `opt::Pass` function passes (driven by
- * hardcoded sequences in opt::buildPipeline) and the sanitizer stage (a
- * hardcoded triple of free functions dispatched by san::instrument).
+ * side by side: the seven `opt::Pass` function passes and the
+ * sanitizer stage (a hardcoded triple of free functions dispatched by
+ * san::instrument).
  * Every new instrumentation family meant another special case in
  * compiler::specialize and the caches. Now everything the compiler
  * runs between lowering and verification is an ir::ModulePass with a
@@ -14,10 +14,9 @@
  * per-(vendor, level, instrumentation-set) pipelines.
  *
  * Determinism contract: the function-to-module adapter groups in
- * passes::runModulePipeline execute with exactly the legacy nested
- * order (`for iteration { for function { for pass } }` with a fixpoint
- * break), so the registry-built pipelines are bit-identical to the old
- * opt::runStagePipeline — the standard campaign digest does not move.
+ * passes::runModulePipeline execute in a fixed nested order (`for
+ * iteration { for function { for pass } }` with a fixpoint break);
+ * test_passes pins the binary keys it produces on a standard seed mix.
  */
 
 #ifndef UBFUZZ_PASSES_PASS_H
@@ -86,8 +85,8 @@ class ModulePass
     virtual void run(Module &m, PassContext &ctx) = 0;
     /**
      * Non-null when this pass is a wrapped opt::Pass. The pipeline
-     * runner batches maximal runs of adapters into one legacy-order
-     * fixpoint group — the bit-for-bit compatibility hinge.
+     * runner batches maximal runs of adapters into one nested-order
+     * fixpoint group.
      */
     virtual opt::Pass *asFunctionPass() { return nullptr; }
 };

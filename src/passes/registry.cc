@@ -256,15 +256,17 @@ buildEarlyPipeline(Vendor vendor, OptLevel level)
     const char *peephole =
         vendor == Vendor::GCC ? "peephole.gcc" : "peephole.llvm";
 
-    // Same composition as the retired opt::buildPipeline(EarlyOpt)
-    // hardcoded — test_passes cross-checks executionKey equality
-    // against it on the standard seed mix.
+    // Even -O0 performs local constant folding (§1: "even with -O0,
+    // some basic optimizations, such as constant folding, may still
+    // optimize away the UB").
     Pipeline p;
     add(p, "constfold");
     if (level == OptLevel::O0)
         return p;
     add(p, peephole);
     if (vendor == Vendor::GCC) {
+        // GCC: CSE and DSE arrive at -Os/-O2; store forwarding and
+        // lifetime hoisting are -O2/-O3 features.
         add(p, "dce");
         add(p, "simplifycfg");
         if (optAtLeast(level, OptLevel::Os)) {
@@ -279,6 +281,8 @@ buildEarlyPipeline(Vendor vendor, OptLevel level)
         if (level == OptLevel::O3)
             add(p, "lifetimehoist");
     } else {
+        // LLVM: more eager at -O1 (store forwarding, DSE), with an
+        // extra combine round at -O2 and above.
         add(p, "cse");
         add(p, "storefwd");
         add(p, "constfold");
@@ -324,7 +328,9 @@ buildSpecializePipeline(Vendor vendor, OptLevel level,
     if (sanitizer != SanitizerKind::None)
         add(p, "sanopt");
 
-    // Late cleanup round (the retired buildPipeline(LateOpt)).
+    // Late cleanup round: lighter than the early pipeline. Sanitizer
+    // checks are opaque side-effecting instructions here, exactly like
+    // __asan_report calls in real compilers.
     if (level != OptLevel::O0) {
         add(p, "constfold");
         add(p, "cse");
@@ -386,8 +392,8 @@ runModulePipeline(ir::Module &m, const Pipeline &pipeline,
             i++;
             continue;
         }
-        // Batch the maximal adapter run into one legacy-order fixpoint
-        // group: for iteration { for function { for pass } }.
+        // Batch the maximal adapter run into one fixpoint group:
+        // for iteration { for function { for pass } }.
         std::vector<opt::Pass *> group;
         while (i < pipeline.size() &&
                (fp = pipeline[i]->asFunctionPass()) != nullptr) {

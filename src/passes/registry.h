@@ -63,9 +63,10 @@ class PassRegistry
 };
 
 /**
- * The early-optimizer pipeline for (vendor, level): the same pass
- * composition opt::buildPipeline(Stage::EarlyOpt) hardcoded, expressed
- * as registry lookups.
+ * The early-optimizer pipeline for (vendor, level), built from
+ * registry lookups. Both vendors share the pass implementations but
+ * differ in order and in which passes run at which level, which is
+ * what creates cross-compiler discrepancies.
  */
 Pipeline buildEarlyPipeline(Vendor vendor, OptLevel level);
 
@@ -92,10 +93,9 @@ uint64_t earlyPipelineFingerprint(Vendor vendor, OptLevel level);
 /**
  * Run @p pipeline over @p m. Module passes run once, in order; maximal
  * consecutive runs of function-pass adapters execute as one group in
- * the legacy nested order (`for iter < ctx.iterations { for function {
- * for pass } }`, breaking when an iteration changes nothing), which
- * keeps registry-built pipelines bit-identical to the pre-refactor
- * opt::runStagePipeline.
+ * nested order (`for iter < ctx.iterations { for function { for pass
+ * } }`, breaking when an iteration changes nothing). test_passes pins
+ * the binary keys this order produces on a standard seed mix.
  */
 void runModulePipeline(ir::Module &m, const Pipeline &pipeline,
                        ir::PassContext &ctx);

@@ -41,8 +41,12 @@ struct SourceLoc
     std::string
     str() const
     {
-        return "(" + std::to_string(line) + "," + std::to_string(offset) +
-               ")";
+        std::string s = "(";
+        s += std::to_string(line);
+        s += ',';
+        s += std::to_string(offset);
+        s += ')';
+        return s;
     }
 };
 

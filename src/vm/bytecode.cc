@@ -67,130 +67,10 @@ shape2(const Value &a, const Value &b, BOp rr, BOp ri, BOp ir, BOp ii)
     return b.isImm() ? ri : rr;
 }
 
-/** Offset of @p op inside the four-opcode RR/RI/IR/II group anchored
- *  at @p rr (0..3), or -1 when it is outside the group. Relies on the
- *  X-macro keeping each shape group contiguous. */
-int
-shapeIndex(BOp op, BOp rr)
-{
-    const int d = static_cast<int>(op) - static_cast<int>(rr);
-    return d >= 0 && d < 4 ? d : -1;
-}
-
-/** Does the Bin record @p b read register @p reg? */
-bool
-binReadsReg(const BInst &b, uint32_t reg)
-{
-    return (!(b.flags & kOpAImm) && b.a == reg) ||
-           (!(b.flags & kOpBImm) && b.b == reg);
-}
-
-/** The opcode @p rr's group member at shape offset @p idx. */
-BOp
-shapeAt(BOp rr, int idx)
-{
-    return static_cast<BOp>(static_cast<int>(rr) + idx);
-}
-
-/**
- * The kTierFused peephole: greedily rewrite hot adjacent record pairs
- * into superinstructions. Only the first record's op changes — the
- * second stays in place, so pcs, branch targets, and the loc table are
- * untouched and the fused handler can read both records.
- *
- * Guards, in order:
- *  - the second record must not be a jump-in point (function entry,
- *    branch target, or call return site) — a transfer landing there
- *    must still execute it as a plain step;
- *  - the pair must be producer→consumer (the second reads the first's
- *    dst), which also implies the first is not a terminator, so both
- *    records sit in the same basic block by construction (blocks
- *    always end in terminators — there is no fall-through).
- *
- * @return the number of superinstruction records produced.
- */
-uint32_t
-fusePairs(Program &p)
-{
-    const size_t n = p.code.size();
-    std::vector<bool> jumpIn(n, false);
-    for (const BFunction &fn : p.functions) {
-        if (fn.entryPc < n)
-            jumpIn[fn.entryPc] = true;
-    }
-    for (size_t i = 0; i < n; i++) {
-        const BInst &bi = p.code[i];
-        switch (bi.op) {
-          case BOp::Br:
-            jumpIn[bi.t0] = true;
-            break;
-          case BOp::CondBrR:
-          case BOp::CondBrI:
-            jumpIn[bi.t0] = true;
-            jumpIn[bi.t1] = true;
-            break;
-          case BOp::Call:
-            if (i + 1 < n)
-                jumpIn[i + 1] = true; // the return site
-            break;
-          default:
-            break;
-        }
-    }
-
-    uint32_t fused = 0;
-    for (size_t i = 0; i + 1 < n; i++) {
-        if (jumpIn[i + 1])
-            continue;
-        BInst &a = p.code[i];
-        const BInst &b = p.code[i + 1];
-        const int binA = shapeIndex(a.op, BOp::BinRR);
-        const int gepA = shapeIndex(a.op, BOp::GepRR);
-        const int binB = shapeIndex(b.op, BOp::BinRR);
-        BOp fusedOp = a.op;
-        if (binA >= 0 && (a.flags & kOpCmp) && b.op == BOp::CondBrR &&
-            b.a == a.dst) {
-            fusedOp = shapeAt(BOp::FCmpBrRR, binA);
-        } else if (binA >= 0 && b.op == BOp::StoreRR && b.b == a.dst) {
-            fusedOp = shapeAt(BOp::FBinStoreRR, binA);
-        } else if (a.op == BOp::LoadR && binB >= 0 &&
-                   binReadsReg(b, a.dst)) {
-            // Prefer the branch fusion: when the consumer is a compare
-            // that would itself fuse with a following CondBrR, leave
-            // the load alone so the cmp+branch pair (which also
-            // removes the branch-side dispatch) can form.
-            const bool cmpBrNext =
-                (b.flags & kOpCmp) && i + 2 < n && !jumpIn[i + 2] &&
-                p.code[i + 2].op == BOp::CondBrR &&
-                p.code[i + 2].a == b.dst;
-            if (!cmpBrNext)
-                fusedOp = shapeAt(BOp::FLoadBinRR, binB);
-        } else if (gepA >= 0 && b.op == BOp::LoadR && b.a == a.dst) {
-            fusedOp = shapeAt(BOp::FGepLoadRR, gepA);
-        } else if (a.op == BOp::FrameAddr) {
-            // Frame-slot access is the hottest pair of all in lowered
-            // code: nearly every local read or write is FrameAddr
-            // followed by the Load/Store through its address.
-            if (b.op == BOp::LoadR && b.a == a.dst)
-                fusedOp = BOp::FFrameAddrLoad;
-            else if (b.op == BOp::StoreRR && b.a == a.dst)
-                fusedOp = BOp::FFrameAddrStoreR;
-            else if (b.op == BOp::StoreRI && b.a == a.dst)
-                fusedOp = BOp::FFrameAddrStoreI;
-        }
-        if (fusedOp != a.op) {
-            a.op = fusedOp;
-            fused++;
-            i++; // the second record is consumed — never fuse it again
-        }
-    }
-    return fused;
-}
-
 } // namespace
 
 Program
-translate(const ir::Module &m, uint32_t tier)
+translate(const ir::Module &m)
 {
     UBF_ASSERT(m.mainIndex >= 0, "translating a module without main");
     Program p;
@@ -459,9 +339,6 @@ translate(const ir::Module &m, uint32_t tier)
             }
         }
     }
-    p.tier = tier;
-    if (tier >= kTierFused)
-        p.fusedRecords = fusePairs(p);
     return p;
 }
 
@@ -472,39 +349,13 @@ CodeCache::translation(const ir::Module &m, const ir::BinaryKey &key,
                        bool *wasHit)
 {
     auto it = map_.find(key);
-    if (it != map_.end()) {
-        if (wasHit)
-            *wasHit = true;
-        Entry &e = it->second;
-        e.runs++;
-        // Profile-guided quickening: the run count *is* the profile.
-        // An entry that proves hot is re-translated once at the fused
-        // tier and upgraded in place; every later run of this binary
-        // dispatches superinstructions.
-        if (e.runs >= hotThreshold_ &&
-            e.program->tier < bc::kTierFused) {
-            e.program = std::make_shared<const bc::Program>(
-                bc::translate(m, bc::kTierFused));
-            quickened_++;
-            fusedRecords_ += e.program->fusedRecords;
-        }
-        return e.program;
-    }
     if (wasHit)
-        *wasHit = false;
-    // A threshold of 1 declares everything hot up front (tests and
-    // benches): the first translation is already the fused tier and
-    // counts as quickened. Otherwise fresh binaries get the cheap
-    // baseline pass — most run exactly once and never earn fusion.
-    const uint32_t tier =
-        hotThreshold_ <= 1 ? bc::kTierFused : bc::kTierBaseline;
-    auto prog = std::make_shared<const bc::Program>(bc::translate(m, tier));
-    if (tier == bc::kTierFused) {
-        quickened_++;
-        fusedRecords_ += prog->fusedRecords;
-    }
+        *wasHit = it != map_.end();
+    if (it != map_.end())
+        return it->second;
+    auto prog = std::make_shared<const bc::Program>(bc::translate(m));
     if (map_.size() < maxEntries_)
-        map_.emplace(key, Entry{prog, 1});
+        map_.emplace(key, prog);
     else
         capRejects_++;
     return prog;

@@ -55,14 +55,6 @@ namespace bc {
  * operand is a register, I = it was an immediate and lives in the
  * record (`x` for a, `y` for b). Opcodes without a suffix read their
  * operand shapes from the record flags (cold operations only).
- *
- * The trailing F-prefixed opcodes are *superinstructions*: one record
- * whose handler retires two adjacent source instructions (the fusion
- * pass rewrites the first record's op and leaves the second record in
- * place, so the pc space, the per-pc loc table, and every branch
- * target are unchanged). Their RR/RI/IR/II suffix describes the
- * operand shape of the *Bin or Gep half*; the partner op's shape is
- * fixed by the fusion guard (see fusePairs in bytecode.cc).
  */
 #define UBFUZZ_BC_OPS(X)                                                   \
     X(Nop)                                                                 \
@@ -112,26 +104,7 @@ namespace bc {
     X(UbsanNull)                                                           \
     X(UbsanBounds)                                                         \
     X(MsanCheck)                                                           \
-    X(HardenCheck)                                                         \
-    X(FCmpBrRR)                                                            \
-    X(FCmpBrRI)                                                            \
-    X(FCmpBrIR)                                                            \
-    X(FCmpBrII)                                                            \
-    X(FLoadBinRR)                                                          \
-    X(FLoadBinRI)                                                          \
-    X(FLoadBinIR)                                                          \
-    X(FLoadBinII)                                                          \
-    X(FBinStoreRR)                                                         \
-    X(FBinStoreRI)                                                         \
-    X(FBinStoreIR)                                                         \
-    X(FBinStoreII)                                                         \
-    X(FGepLoadRR)                                                          \
-    X(FGepLoadRI)                                                          \
-    X(FGepLoadIR)                                                          \
-    X(FGepLoadII)                                                          \
-    X(FFrameAddrLoad)                                                      \
-    X(FFrameAddrStoreR)                                                    \
-    X(FFrameAddrStoreI)
+    X(HardenCheck)
 
 enum class BOp : uint8_t {
 #define UBFUZZ_BC_ENUM(name) name,
@@ -219,21 +192,6 @@ struct Program
     bool asanGlobals = false;
     bool asanHeap = false;
     ir::MsanPolicy msan;
-    /** Fusion tier this program was translated at (kTierBaseline or
-     *  kTierFused) and how many superinstruction records the fusion
-     *  pass produced (0 at kTierBaseline). */
-    uint32_t tier = 0;
-    uint32_t fusedRecords = 0;
-};
-
-/** Fusion tiers for translate(). */
-enum : uint32_t {
-    /** Cheap single-pass flattening, no fusion — what a binary gets
-     *  the first time it is seen. */
-    kTierBaseline = 0,
-    /** Flatten + superinstruction fusion pass — what CodeCache
-     *  re-translates hot binaries at (profile-guided quickening). */
-    kTierFused = 1,
 };
 
 /**
@@ -244,16 +202,8 @@ enum : uint32_t {
  */
 bool opcodeHasHandler(ir::Opcode op);
 
-/**
- * Flatten @p m. Panics on an opcode with no handler. At kTierFused a
- * peephole pass then combines hot adjacent record pairs (Cmp+CondBr,
- * Load+Bin, Bin+Store, Gep+Load) into superinstructions; fusion never
- * changes observable behavior — a fused record retires both steps with
- * the same counts, traps, reports, and traces as the unfused pair (the
- * test_bytecode stepLimit-boundary suite pins the mid-pair timeout
- * case against runReference).
- */
-Program translate(const ir::Module &m, uint32_t tier = kTierBaseline);
+/** Flatten @p m. Panics on an opcode with no handler. */
+Program translate(const ir::Module &m);
 
 } // namespace bc
 
@@ -270,15 +220,6 @@ Program translate(const ir::Module &m, uint32_t tier = kTierBaseline);
  * The entry cap bounds memory like fuzzer::CorpusMemo's: a full cache
  * stops admitting and hands out uncached translations (identical
  * results, a little less work saved).
- *
- * Profile-guided quickening: a fresh binary gets the cheap
- * bc::kTierBaseline translation (most binaries run once — the silent
- * matrix pass — and never earn the fusion pass). The cache counts runs
- * per entry; when a binary's run count reaches the hot threshold it is
- * re-translated at bc::kTierFused and the entry is upgraded in place,
- * so every later run of that binary dispatches superinstructions.
- * Fused and unfused programs are observably identical, so quickening
- * never perturbs results — only ns/step.
  */
 class CodeCache
 {
@@ -287,15 +228,8 @@ class CodeCache
      *  cap-independent (see CampaignConfig::codeCacheCap). */
     static constexpr size_t kDefaultMaxEntries = 1024;
 
-    /** Run count at which an entry is quickened to bc::kTierFused.
-     *  2 = the first *re*-execution pays the fusion pass: a binary
-     *  executed once never does. Tests and benches pass 1 to fuse
-     *  every translation up front. */
-    static constexpr size_t kDefaultHotThreshold = 2;
-
-    explicit CodeCache(size_t maxEntries = kDefaultMaxEntries,
-                       size_t hotThreshold = kDefaultHotThreshold)
-        : maxEntries_(maxEntries), hotThreshold_(hotThreshold)
+    explicit CodeCache(size_t maxEntries = kDefaultMaxEntries)
+        : maxEntries_(maxEntries)
     {
     }
     CodeCache(const CodeCache &) = delete;
@@ -319,37 +253,26 @@ class CodeCache
      *  vm::ExecStats::translationCapRejects per unit). */
     size_t capRejects() const { return capRejects_; }
 
-    /** Hot re-translations performed (entries upgraded to
-     *  bc::kTierFused; folded into ExecStats::quickenedTranslations).
-     *  Each is *extra* work on top of the baseline translation, so it
-     *  is deliberately not part of the
-     *  executions == translations + translationHits identity. */
-    size_t quickenedTranslations() const { return quickened_; }
+    /** Always 0 since the fused tier was removed; kept because
+     *  campaignbench's traced replica still folds it into
+     *  ExecStats::quickenedTranslations. */
+    size_t quickenedTranslations() const { return 0; }
 
-    /** Superinstruction records across all quickened translations this
-     *  cache performed (folded into ExecStats::fusedRecords). */
-    size_t fusedRecords() const { return fusedRecords_; }
+    /** Always 0 since the fused tier was removed; kept for the same
+     *  reason (folded into ExecStats::fusedRecords). */
+    size_t fusedRecords() const { return 0; }
 
   private:
-    struct Entry
-    {
-        std::shared_ptr<const bc::Program> program;
-        /** Times this entry served a run; drives quickening. */
-        size_t runs = 0;
-    };
-
     /** Memory bound: translations are retained per distinct binary. */
     size_t maxEntries_;
-    /** Run count that triggers the kTierFused re-translation. */
-    size_t hotThreshold_;
     size_t capRejects_ = 0;
-    size_t quickened_ = 0;
-    size_t fusedRecords_ = 0;
 
     /** The key carries its own FNV-1a hash, so the unordered lookup is
      *  hash-mix + one bucket probe — no O(log n) ordered compares on
      *  the per-execution hot path. */
-    std::unordered_map<ir::BinaryKey, Entry, ir::BinaryKeyHash> map_;
+    std::unordered_map<ir::BinaryKey, std::shared_ptr<const bc::Program>,
+                       ir::BinaryKeyHash>
+        map_;
 };
 
 } // namespace ubfuzz::vm

@@ -390,16 +390,6 @@ struct Machine::Impl
         const ir::BinaryKey *key)
     {
         UBF_ASSERT(m.mainIndex >= 0, "module has no main");
-        if (opts.fault) {
-            // Fault runs need step-exact timing: fused-tier handlers
-            // retire two records per dispatch, so a cached (possibly
-            // quickened) translation is unusable. Translate fresh at
-            // the baseline tier; the extra translation keeps the
-            // `executions == translations + hits` identity.
-            stats_.translations++;
-            bc::Program prog = bc::translate(m, bc::kTierBaseline);
-            return runBytecode(prog, opts);
-        }
         bool hit = false;
         std::shared_ptr<const bc::Program> prog = cache_->translation(
             m, key ? *key : ir::binaryKey(m), &hit);
@@ -2652,131 +2642,6 @@ struct Machine::Impl
         }
         VM_NEXT();
 
-// Superinstruction handlers: one dispatch retires two adjacent records
-// (the fusion pass rewrote the first record's op; the second is still
-// in place at pc+1). Each half executes verbatim — same helpers, same
-// register writes, same trap/report sites — and VM_FUSE_SECOND()
-// replicates the dispatch preamble between them, so a run that ends or
-// times out mid-pair is indistinguishable from the unfused execution:
-// ending the run leaves pc untouched, and an exhausted step budget
-// bails *before* the second half's step/loc/trace bookkeeping so the
-// preamble re-detects it and reports Timeout at exactly the step the
-// reference interpreter would.
-#define VM_FUSE_SECOND()                                               \
-    if (done_)                                                         \
-        VM_NEXT();                                                     \
-    pc++;                                                              \
-    if (steps >= limit)                                                \
-        VM_NEXT();                                                     \
-    bi++;                                                              \
-    steps++;                                                           \
-    if (bi->flags & bc::kOpLocValid)                                   \
-        curLocPc = pc;                                                 \
-    if (mTrace<M>())                                                   \
-        recordTrace(locs[pc])
-
-// Cmp+CondBr: the shape suffix is the compare's; the branch half is
-// always CondBrR on the compare's dst (its body mirrors VM_CASE(CondBrR)).
-#define VM_FUSED_CMP_BR(name, AImm, BImm)                              \
-    VM_CASE(name) : {                                                  \
-        fastBin<M, AImm, BImm>(*bi, *f, pc);                           \
-        VM_FUSE_SECOND();                                              \
-        if (mGround<M>() && f->rsh[bi->a]) {                           \
-            report(ReportKind::UninitValue, locs[pc]);                 \
-            VM_NEXT();                                                 \
-        }                                                              \
-        pc = f->regs[bi->a] != 0 ? bi->t0 : bi->t1;                    \
-    }                                                                  \
-    VM_NEXT()
-
-        VM_FUSED_CMP_BR(FCmpBrRR, false, false);
-        VM_FUSED_CMP_BR(FCmpBrRI, false, true);
-        VM_FUSED_CMP_BR(FCmpBrIR, true, false);
-        VM_FUSED_CMP_BR(FCmpBrII, true, true);
-
-// Load+Bin: the shape suffix is the Bin's; the load half is always
-// LoadR feeding one of the Bin's register operands.
-#define VM_FUSED_LOAD_BIN(name, AImm, BImm)                            \
-    VM_CASE(name) : {                                                  \
-        fastLoad<M, false>(*bi, *f, pc);                               \
-        VM_FUSE_SECOND();                                              \
-        fastBin<M, AImm, BImm>(*bi, *f, pc);                           \
-        pc++;                                                          \
-    }                                                                  \
-    VM_NEXT()
-
-        VM_FUSED_LOAD_BIN(FLoadBinRR, false, false);
-        VM_FUSED_LOAD_BIN(FLoadBinRI, false, true);
-        VM_FUSED_LOAD_BIN(FLoadBinIR, true, false);
-        VM_FUSED_LOAD_BIN(FLoadBinII, true, true);
-
-// Bin+Store: the shape suffix is the Bin's; the store half is always
-// StoreRR storing the Bin's dst.
-#define VM_FUSED_BIN_STORE(name, AImm, BImm)                           \
-    VM_CASE(name) : {                                                  \
-        fastBin<M, AImm, BImm>(*bi, *f, pc);                           \
-        VM_FUSE_SECOND();                                              \
-        fastStore<M, false, false>(*bi, *f, pc);                       \
-        pc++;                                                          \
-    }                                                                  \
-    VM_NEXT()
-
-        VM_FUSED_BIN_STORE(FBinStoreRR, false, false);
-        VM_FUSED_BIN_STORE(FBinStoreRI, false, true);
-        VM_FUSED_BIN_STORE(FBinStoreIR, true, false);
-        VM_FUSED_BIN_STORE(FBinStoreII, true, true);
-
-// Gep+Load: the shape suffix is the Gep's; the load half is always
-// LoadR from the Gep's dst.
-#define VM_FUSED_GEP_LOAD(name, AImm, BImm)                            \
-    VM_CASE(name) : {                                                  \
-        fastGep<M, AImm, BImm>(*bi, *f, pc);                           \
-        VM_FUSE_SECOND();                                              \
-        fastLoad<M, false>(*bi, *f, pc);                               \
-        pc++;                                                          \
-    }                                                                  \
-    VM_NEXT()
-
-        VM_FUSED_GEP_LOAD(FGepLoadRR, false, false);
-        VM_FUSED_GEP_LOAD(FGepLoadRI, false, true);
-        VM_FUSED_GEP_LOAD(FGepLoadIR, true, false);
-        VM_FUSED_GEP_LOAD(FGepLoadII, true, true);
-
-// FrameAddr+Load / FrameAddr+Store: the address half mirrors
-// VM_CASE(FrameAddr) (it can never end the run); the access half is
-// always through the frame address register.
-#define VM_FRAME_ADDR_HALF()                                           \
-    const uint64_t faId = f->objIds[bi->t0];                           \
-    f->regs[bi->dst] = objects_[faId - 1].base;                        \
-    if (mShadow<M>())                                                  \
-        f->rsh[bi->dst] = 0;                                           \
-    if (mGround<M>())                                                  \
-        f->prov[bi->dst] = bi->dst ? faId : 0
-
-        VM_CASE(FFrameAddrLoad) : {
-            VM_FRAME_ADDR_HALF();
-            VM_FUSE_SECOND();
-            fastLoad<M, false>(*bi, *f, pc);
-            pc++;
-        }
-        VM_NEXT();
-
-        VM_CASE(FFrameAddrStoreR) : {
-            VM_FRAME_ADDR_HALF();
-            VM_FUSE_SECOND();
-            fastStore<M, false, false>(*bi, *f, pc);
-            pc++;
-        }
-        VM_NEXT();
-
-        VM_CASE(FFrameAddrStoreI) : {
-            VM_FRAME_ADDR_HALF();
-            VM_FUSE_SECOND();
-            fastStore<M, false, true>(*bi, *f, pc);
-            pc++;
-        }
-        VM_NEXT();
-
 #if UBFUZZ_CGOTO
     vm_out:;
 #else
@@ -2785,12 +2650,6 @@ struct Machine::Impl
 #endif
         result_.steps = steps;
 
-#undef VM_FRAME_ADDR_HALF
-#undef VM_FUSE_SECOND
-#undef VM_FUSED_CMP_BR
-#undef VM_FUSED_LOAD_BIN
-#undef VM_FUSED_BIN_STORE
-#undef VM_FUSED_GEP_LOAD
 #undef VM_CASE
 #undef VM_NEXT
 #undef VM_A

@@ -103,10 +103,7 @@ struct ExecOptions
      * Fault-injection mode: apply this single-bit upset during the
      * run. Arms the HardenCheck instructions (they only report while a
      * plan is armed, which is what keeps hardened binaries
-     * drift-free on the ordinary sanitizer matrix). Fault runs bypass
-     * the CodeCache and interpret a fresh baseline-tier translation:
-     * fused superinstructions retire two records per dispatch, which
-     * would break the step-exact fault timing.
+     * drift-free on the ordinary sanitizer matrix).
      */
     const FaultPlan *fault = nullptr;
 };
@@ -204,20 +201,12 @@ struct ExecStats
      * binary re-flattens instead of hitting).
      */
     size_t translationCapRejects = 0;
-    /**
-     * Hot re-translations at the fused tier (profile-guided
-     * quickening: a cached binary whose run count reached the hot
-     * threshold was re-flattened with the superinstruction pass).
-     * Extra work on top of the baseline translations, so deliberately
-     * outside the `executions == translations + translationHits`
-     * identity — and not bounded by translationHits either, because
-     * the unit's classifier machine shares the cache but keeps its
-     * own hit counts out of these stats. Counted by the CodeCache and
-     * folded per campaign unit, like the cap rejects.
-     */
+    /** Always 0 since the fused tier was removed; still merged and
+     *  serialized so the journal and worker-frame layouts do not
+     *  change. */
     size_t quickenedTranslations = 0;
-    /** Superinstruction records across all quickened translations —
-     *  how much pair coverage the fusion pass actually found. */
+    /** Always 0 since the fused tier was removed (see
+     *  quickenedTranslations). */
     size_t fusedRecords = 0;
     /** Bit flips actually applied by armed FaultPlans (one per fault
      *  run that reached its step with a live victim). */

@@ -311,24 +311,6 @@ int main(void) {
     EXPECT_EQ(sctx.hashNodeRange(0, sctx.numNodes()), sourceHash);
 }
 
-TEST(Clone, RebuildBaselinePrintsIdentically)
-{
-    // The node-by-node cloner is kept as the bench baseline; it must
-    // still produce a semantically identical program (same text, same
-    // nodeIds for every source node).
-    auto prog = frontend::parseOrDie(R"(int g = 3;
-int main(void) {
-    int x = g + 4;
-    __checksum((long)x);
-    return x;
-}
-)");
-    ClonedProgram rebuilt = cloneProgramByRebuild(*prog);
-    EXPECT_EQ(programText(*rebuilt.program), programText(*prog));
-    for (const ast::VarDecl *gv : prog->globals())
-        EXPECT_NE(rebuilt.find(gv->nodeId()), nullptr);
-}
-
 TEST(Clone, MutatingCloneLeavesOriginalIntact)
 {
     auto prog = frontend::parseOrDie(R"(int g = 3;

@@ -315,15 +315,13 @@ TEST(CodeCache, ExecutionPlanAccountsTranslationsAndHits)
 }
 
 //===--------------------------------------------------------------===//
-// Superinstruction fusion + quickening
+// Step-limit parity
 //===--------------------------------------------------------------===//
 
-/** A compact program whose fused translation exercises every fused
- *  family: the loop compare+branch, array load+bin and bin+store,
- *  gep+load on the indexed reads, and frame-slot address+load/store
- *  pairs from the lowered locals. Three iterations keep the full run
- *  short enough to sweep every stepLimit boundary below. */
-const char *kFusedSource = R"(int a[8];
+/** A compact program with a loop, array and global accesses, and a
+ *  call. Three iterations keep the full run short enough to sweep
+ *  every stepLimit boundary below. */
+const char *kStepSweepSource = R"(int a[8];
 int g;
 int helper(int x) {
     return x * 3 + 1;
@@ -341,54 +339,13 @@ int main(void) {
 }
 )";
 
-TEST(Fusion, TranslationCoversEveryFusedFamily)
-{
-    ir::Module mod = lowerSource(kFusedSource);
-    vm::bc::Program base = vm::bc::translate(mod);
-    vm::bc::Program fused = vm::bc::translate(mod, vm::bc::kTierFused);
-    EXPECT_EQ(base.tier, vm::bc::kTierBaseline);
-    EXPECT_EQ(base.fusedRecords, 0u);
-    EXPECT_EQ(fused.tier, vm::bc::kTierFused);
-    ASSERT_GT(fused.fusedRecords, 0u);
-    // Fusion rewrites first-half opcodes in place: the pc space, the
-    // record count, and the loc side table are identical to baseline.
-    ASSERT_EQ(base.code.size(), fused.code.size());
-    ASSERT_EQ(base.locs, fused.locs);
-    using vm::bc::BOp;
-    size_t families[5] = {};
-    for (const vm::bc::BInst &bi : fused.code) {
-        if (bi.op >= BOp::FCmpBrRR && bi.op <= BOp::FCmpBrII)
-            families[0]++;
-        else if (bi.op >= BOp::FLoadBinRR && bi.op <= BOp::FLoadBinII)
-            families[1]++;
-        else if (bi.op >= BOp::FBinStoreRR && bi.op <= BOp::FBinStoreII)
-            families[2]++;
-        else if (bi.op >= BOp::FGepLoadRR && bi.op <= BOp::FGepLoadII)
-            families[3]++;
-        else if (bi.op >= BOp::FFrameAddrLoad &&
-                 bi.op <= BOp::FFrameAddrStoreI)
-            families[4]++;
-    }
-    const char *names[5] = {"Cmp+CondBr", "Load+Bin", "Bin+Store",
-                            "Gep+Load", "FrameAddr+access"};
-    size_t total = 0;
-    for (size_t i = 0; i < 5; i++) {
-        EXPECT_GT(families[i], 0u) << names[i] << " family never fused";
-        total += families[i];
-    }
-    EXPECT_EQ(total, fused.fusedRecords);
-}
-
 TEST(Fusion, StepLimitParityAtEveryBoundary)
 {
-    // The regression magnet: a stepLimit expiring *between* the two
-    // halves of a superinstruction must time out at exactly the same
-    // step as the reference, in every dispatch mode. Sweep every
-    // boundary of the whole program, fused from the very first
-    // translation (hot threshold 1).
-    ir::Module mod = lowerSource(kFusedSource);
-    ASSERT_GT(vm::bc::translate(mod, vm::bc::kTierFused).fusedRecords,
-              0u);
+    // A stepLimit expiring at any record must time out at exactly the
+    // same step as the reference, in every dispatch mode. Sweep every
+    // boundary of the whole program through a shared CodeCache, so
+    // each run after the first executes a cached translation.
+    ir::Module mod = lowerSource(kStepSweepSource);
     // Shadow-mode dispatch follows the translation's msan flag; no
     // check records are needed to exercise the mode's loop.
     ir::Module shadowMod = mod;
@@ -397,8 +354,8 @@ TEST(Fusion, StepLimitParityAtEveryBoundary)
     const uint64_t fullSteps = probe.runReference(mod).steps;
     ASSERT_GT(fullSteps, 0u);
     ASSERT_LT(fullSteps, 2000u); // keep the quadratic sweep cheap
+    vm::CodeCache cache;
     for (uint64_t k = 0; k <= fullSteps + 1; k++) {
-        vm::CodeCache cache(vm::CodeCache::kDefaultMaxEntries, 1);
         vm::Machine ref;
         vm::Machine fast(&cache);
         vm::ExecOptions o;
@@ -417,31 +374,6 @@ TEST(Fusion, StepLimitParityAtEveryBoundary)
         expectSameResult(ref.runReference(shadowMod, o),
                          fast.run(shadowMod, o), tag + " [shadow]");
     }
-}
-
-TEST(Quickening, HotBinaryRetranslatesAtTheFusedTierOnce)
-{
-    ir::Module mod = lowerSource(kFusedSource);
-    vm::CodeCache cache; // default threshold: quickens on the 2nd run
-    vm::Machine m(&cache);
-    vm::ExecResult first = m.run(mod);
-    EXPECT_EQ(cache.quickenedTranslations(), 0u);
-    EXPECT_EQ(cache.fusedRecords(), 0u);
-    vm::ExecResult second = m.run(mod);
-    EXPECT_EQ(cache.quickenedTranslations(), 1u);
-    EXPECT_GT(cache.fusedRecords(), 0u);
-    vm::ExecResult third = m.run(mod);
-    // The upgrade happens once; later runs hit the fused entry.
-    EXPECT_EQ(cache.quickenedTranslations(), 1u);
-    // Tier changes are invisible in results and in cache accounting:
-    // still one entry, one baseline translation, hits for the rest.
-    expectSameResult(first, second, "baseline vs quickened");
-    expectSameResult(second, third, "quickened vs fused hit");
-    EXPECT_EQ(cache.size(), 1u);
-    EXPECT_EQ(m.stats().translations, 1u);
-    EXPECT_EQ(m.stats().translationHits, 2u);
-    EXPECT_EQ(m.stats().executions,
-              m.stats().translations + m.stats().translationHits);
 }
 
 } // namespace

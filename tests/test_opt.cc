@@ -10,10 +10,12 @@
 #include <gtest/gtest.h>
 
 #include "ast/printer.h"
+#include "compiler/compiler.h"
 #include "frontend/parser.h"
 #include "generator/generator.h"
 #include "ir/lowering.h"
 #include "opt/pass.h"
+#include "passes/registry.h"
 #include "vm/vm.h"
 
 namespace ubfuzz::opt {
@@ -281,12 +283,10 @@ int main(void) {
     vm::ExecResult ref = vm::execute(base);
     ASSERT_EQ(ref.kind, vm::ExecResult::Kind::Clean);
 
-    ir::Module m = ir::lowerProgram(*prog, printed.map);
-    auto pipeline = buildPipeline(v, l, Stage::EarlyOpt);
-    runPipeline(m, pipeline, 2);
-    auto late = buildPipeline(v, l, Stage::LateOpt);
-    runPipeline(m, late, 1);
-    ASSERT_EQ(ir::verifyModule(m), "");
+    compiler::CompilerConfig c;
+    c.vendor = v;
+    c.level = l;
+    ir::Module m = compiler::compile(*prog, printed, c).module;
     vm::ExecResult r = vm::execute(m);
     ASSERT_EQ(r.kind, vm::ExecResult::Kind::Clean);
     EXPECT_EQ(r.exitCode, ref.exitCode)
@@ -303,9 +303,9 @@ INSTANTIATE_TEST_SUITE_P(VendorsLevels, PipelineSweep,
  * The compile-once cache keys early-opt modules by
  * canonicalEarlyOptPoint, so the claimed equivalences must really
  * produce bit-identical modules. Check every matrix point against its
- * representative on a spread of generated programs — if buildPipeline
- * or stageIterations ever makes, say, LLVM -Os diverge from -O1, this
- * is the test that fails.
+ * representative on a spread of generated programs — if
+ * buildEarlyPipeline or stageIterations ever makes, say, LLVM -Os
+ * diverge from -O1, this is the test that fails.
  */
 TEST(CanonicalEarlyOpt, RepresentativeProducesIdenticalModules)
 {
@@ -318,16 +318,35 @@ TEST(CanonicalEarlyOpt, RepresentativeProducesIdenticalModules)
         for (Vendor v : {Vendor::GCC, Vendor::LLVM}) {
             for (OptLevel l : kAllOptLevels) {
                 auto [cv, cl] = canonicalEarlyOptPoint(v, l);
-                ir::Module actual = ir::cloneModule(base);
-                runStagePipeline(actual, v, l, Stage::EarlyOpt);
-                ir::Module canon = ir::cloneModule(base);
-                runStagePipeline(canon, cv, cl, Stage::EarlyOpt);
+                ir::Module actual =
+                    compiler::earlyOptimize(ir::cloneModule(base), v, l);
+                ir::Module canon =
+                    compiler::earlyOptimize(ir::cloneModule(base), cv, cl);
                 EXPECT_EQ(ir::printModule(actual),
                           ir::printModule(canon))
                     << "seed " << seed << ": " << vendorName(v) << " "
                     << optLevelName(l) << " vs canonical "
                     << vendorName(cv) << " " << optLevelName(cl);
             }
+        }
+    }
+}
+
+/** The structural form of the same claim: every point and its
+ *  representative build the same registry pipeline (equal
+ *  fingerprints, which CompilationCache also keys on) and run it for
+ *  the same number of fixpoint rounds. */
+TEST(CanonicalEarlyOpt, PointsShareTheRegistryPipeline)
+{
+    for (Vendor v : {Vendor::GCC, Vendor::LLVM}) {
+        for (OptLevel l : kAllOptLevels) {
+            auto [cv, cl] = canonicalEarlyOptPoint(v, l);
+            EXPECT_EQ(passes::earlyPipelineFingerprint(v, l),
+                      passes::earlyPipelineFingerprint(cv, cl))
+                << vendorName(v) << " " << optLevelName(l);
+            EXPECT_EQ(stageIterations(l, Stage::EarlyOpt),
+                      stageIterations(cl, Stage::EarlyOpt))
+                << vendorName(v) << " " << optLevelName(l);
         }
     }
 }

@@ -90,9 +90,9 @@ TEST(Orchestrator, ShardingIsDeterministic)
     cfg.capPerKind = 2;
 
     cfg.jobs = 1;
-    CampaignStats sequential = runCampaignParallel(cfg);
+    CampaignStats sequential = runCampaign(cfg);
     cfg.jobs = 4;
-    CampaignStats sharded = runCampaignParallel(cfg);
+    CampaignStats sharded = runCampaign(cfg);
 
     // The campaign actually found things (the comparison is not 0==0).
     ASSERT_GT(sequential.ubPrograms, 0u);
@@ -108,9 +108,9 @@ TEST(Orchestrator, MoreJobsThanUnits)
     cfg.capPerKind = 2;
 
     cfg.jobs = 1;
-    CampaignStats sequential = runCampaignParallel(cfg);
+    CampaignStats sequential = runCampaign(cfg);
     cfg.jobs = 16;
-    CampaignStats sharded = runCampaignParallel(cfg);
+    CampaignStats sharded = runCampaign(cfg);
     expectIdentical(sequential, sharded);
 }
 
@@ -120,9 +120,9 @@ TEST(Orchestrator, JulietShardsDeterministically)
     cfg.source = SourceMode::Juliet;
 
     cfg.jobs = 1;
-    CampaignStats sequential = runCampaignParallel(cfg);
+    CampaignStats sequential = runCampaign(cfg);
     cfg.jobs = 4;
-    CampaignStats sharded = runCampaignParallel(cfg);
+    CampaignStats sharded = runCampaign(cfg);
     ASSERT_GT(sequential.ubPrograms, 0u);
     expectIdentical(sequential, sharded);
 }
@@ -140,7 +140,7 @@ TEST(Orchestrator, EmptyCampaign)
     CampaignConfig cfg;
     cfg.numSeeds = 0;
     cfg.jobs = 8;
-    CampaignStats stats = runCampaignParallel(cfg);
+    CampaignStats stats = runCampaign(cfg);
     EXPECT_EQ(stats.seeds, 0u);
     EXPECT_EQ(stats.ubPrograms, 0u);
 }
@@ -177,7 +177,7 @@ TEST(Service, KillAndResumeIsBitIdentical)
     cfg.numSeeds = 10;
     cfg.capPerKind = 2;
     cfg.jobs = 1;
-    CampaignStats uninterrupted = runCampaignParallel(cfg);
+    CampaignStats uninterrupted = runCampaign(cfg);
     ASSERT_GT(uninterrupted.findings.size(), 0u);
 
     for (int jobs : {1, 4}) {
@@ -279,7 +279,7 @@ TEST(Service, ShardedStoresMergeToUninterruptedCampaign)
     cfg.numSeeds = 8;
     cfg.capPerKind = 2;
     cfg.jobs = 1;
-    CampaignStats whole = runCampaignParallel(cfg);
+    CampaignStats whole = runCampaign(cfg);
     ASSERT_GT(whole.findings.size(), 0u);
 
     for (int count : {2, 4}) {
@@ -328,7 +328,7 @@ TEST(Service, IsolatedWorkersAreBitIdentical)
     cfg.numSeeds = 8;
     cfg.capPerKind = 2;
     cfg.jobs = 1;
-    CampaignStats inProcess = runCampaignParallel(cfg);
+    CampaignStats inProcess = runCampaign(cfg);
     ASSERT_GT(inProcess.findings.size(), 0u);
 
     cfg.isolate = true;
@@ -422,7 +422,7 @@ TEST(Service, StopRequestPausesResumably)
     cfg.numSeeds = 8;
     cfg.capPerKind = 2;
     cfg.jobs = 1;
-    CampaignStats uninterrupted = runCampaignParallel(cfg);
+    CampaignStats uninterrupted = runCampaign(cfg);
 
     TempDir dir("stop");
     campaign::Manifest m =
@@ -473,13 +473,13 @@ TEST(Service, TinyCapsAreBitIdentical)
     cfg.numSeeds = 10;
     cfg.capPerKind = 2;
     cfg.jobs = 1;
-    CampaignStats normal = runCampaignParallel(cfg);
+    CampaignStats normal = runCampaign(cfg);
     EXPECT_EQ(normal.exec.corpusCapRejects, 0u);
     EXPECT_EQ(normal.exec.translationCapRejects, 0u);
 
     cfg.corpusMemoCap = 4;
     cfg.codeCacheCap = 4;
-    CampaignStats tiny = runCampaignParallel(cfg);
+    CampaignStats tiny = runCampaign(cfg);
     expectIdentical(normal, tiny);
     EXPECT_EQ(findingsDigest(tiny), findingsDigest(normal));
     // The caps actually bit on this workload (the comparison above is

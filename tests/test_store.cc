@@ -7,10 +7,14 @@
  * including under arbitrary regrouping (merge associativity).
  */
 
+#include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <random>
+
+#include <sys/resource.h>
 
 #include <gtest/gtest.h>
 
@@ -78,6 +82,22 @@ sampleRecord(int unit)
     delta.ubPrograms = 1;
     rec.memoAdds.emplace_back(key, delta);
     return rec;
+}
+
+/** For a death-test child: cap the files this process writes at
+ *  @p bytes, and turn the SIGXFSZ an over-limit write raises into a
+ *  plain EFBIG write error (what a full disk looks like to stdio).
+ *  Aborts if the cap cannot be set, which fails either test. */
+void
+capFileSize(rlim_t bytes)
+{
+    std::signal(SIGXFSZ, SIG_IGN);
+    struct rlimit rl;
+    if (getrlimit(RLIMIT_FSIZE, &rl) != 0)
+        std::abort();
+    rl.rlim_cur = bytes;
+    if (setrlimit(RLIMIT_FSIZE, &rl) != 0)
+        std::abort();
 }
 
 fuzzer::CampaignConfig
@@ -257,6 +277,47 @@ TEST(Store, FreshOpenRefusesExistingJournal)
     EXPECT_NE(error.find("--resume"), std::string::npos) << error;
 }
 
+TEST(StoreDeathTest, AppendDiesWhenTheJournalFlushFails)
+{
+    // The record fits the stdio buffer, so fwrite reports a full count
+    // and the write error only surfaces at fflush. Reporting the unit
+    // as journaled after that would silently lose it on resume.
+    TempDir dir("flushfail");
+    Manifest m = manifestFor(smallConfig(), ShardSpec{});
+    const fs::path journal =
+        fs::path(dir.str()) / CampaignStore::journalFileName(m.shard);
+    EXPECT_DEATH(
+        {
+            std::string error;
+            auto store = CampaignStore::open(dir.str(), m, false, &error);
+            if (!store)
+                std::abort();
+            store->append(sampleRecord(0));
+            // The cap also bounds the captured stderr, so leave it at
+            // the journal's current size: room for the panic message,
+            // none for another record.
+            capFileSize(fs::file_size(journal));
+            store->append(sampleRecord(1));
+        },
+        "journal flush failed");
+}
+
+TEST(StoreDeathTest, OpenFailsWhenTheManifestWriteFails)
+{
+    TempDir dir("manifestfail");
+    Manifest m = manifestFor(smallConfig(), ShardSpec{});
+    EXPECT_EXIT(
+        {
+            capFileSize(16);
+            std::string error;
+            auto store = CampaignStore::open(dir.str(), m, false, &error);
+            const bool refused =
+                !store && error.find("manifest") != std::string::npos;
+            std::exit(refused ? 0 : 1);
+        },
+        ::testing::ExitedWithCode(0), "");
+}
+
 TEST(Store, ResumeRefusesDifferentCampaign)
 {
     TempDir dir("mismatch");
@@ -379,7 +440,7 @@ TEST(Merge, ShardJournalsFoldToSequentialCampaign)
 {
     fuzzer::CampaignConfig cfg = smallConfig();
     cfg.jobs = 1;
-    fuzzer::CampaignStats whole = fuzzer::runCampaignParallel(cfg);
+    fuzzer::CampaignStats whole = fuzzer::runCampaign(cfg);
     ASSERT_GT(whole.ubPrograms, 0u);
 
     TempDir dir("merge");
