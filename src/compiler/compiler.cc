@@ -3,7 +3,6 @@
 #include "harden/harden.h"
 #include "ir/lowering.h"
 #include "opt/pass.h"
-#include "passes/registry.h"
 #include "sanitizer/sanitizer.h"
 #include "support/diagnostics.h"
 
@@ -43,12 +42,8 @@ earlyOptimize(ir::Module base, Vendor vendor, OptLevel level,
 {
     if (stats)
         stats->earlyOptRuns++;
-    passes::Pipeline pipeline = passes::buildEarlyPipeline(vendor, level);
-    ir::PassContext ctx;
-    ctx.vendor = vendor;
-    ctx.level = level;
-    ctx.iterations = opt::stageIterations(level, opt::Stage::EarlyOpt);
-    passes::runModulePipeline(base, pipeline, ctx);
+    opt::runPasses(base, opt::earlyPasses(vendor, level),
+                   opt::earlyRounds(level));
     return base;
 }
 
@@ -70,24 +65,20 @@ specialize(ir::Module earlyOptimized, const CompilerConfig &config,
     binary.config = config;
     binary.module = std::move(earlyOptimized);
 
-    // Sanitizer instrumentation + check optimizer, the late cleanup
-    // optimizer, then hardening — one registry-built pipeline.
+    // Figure 2 after the early optimizer: sanitizer pass + check
+    // optimizer, one round of late cleanup, then hardening. Hardening
+    // runs last — after every optimizer — so no pass ever sees (or
+    // deletes) the duplicate/compare instrumentation, mirroring where
+    // ASPIS schedules its passes in the real LLVM pipeline.
     san::SanitizerContext sanCtx;
     sanCtx.kind = config.sanitizer;
     sanCtx.bugs = san::ActiveBugs(config.vendor,
                                   config.effectiveVersion(),
                                   config.level);
     sanCtx.log = &binary.log;
-    passes::Pipeline pipeline = passes::buildSpecializePipeline(
-        config.vendor, config.level, config.sanitizer, config.harden);
-    ir::PassContext ctx;
-    ctx.vendor = config.vendor;
-    ctx.level = config.level;
-    ctx.san = &sanCtx;
-    ctx.hardenMask = config.harden;
-    ctx.iterations =
-        opt::stageIterations(config.level, opt::Stage::LateOpt);
-    passes::runModulePipeline(binary.module, pipeline, ctx);
+    san::instrument(binary.module, sanCtx);
+    opt::runPasses(binary.module, opt::latePasses(config.level), 1);
+    harden::apply(binary.module, config.harden);
 
     std::string verr = ir::verifyModule(binary.module);
     UBF_ASSERT(verr.empty(), "post-compile verification failed: ", verr);
@@ -191,10 +182,7 @@ CompilationCache::earlyOptModule(Vendor vendor, OptLevel level)
     // Equivalent matrix columns (same early pipeline, same rounds)
     // share one entry — and one optimizer run.
     auto point = opt::canonicalEarlyOptPoint(vendor, level);
-    auto key = std::make_pair(
-        point,
-        passes::earlyPipelineFingerprint(point.first, point.second));
-    auto it = earlyOpt_.find(key);
+    auto it = earlyOpt_.find(point);
     if (it != earlyOpt_.end()) {
         stats_.earlyOptCacheHits++;
         return it->second;
@@ -202,8 +190,8 @@ CompilationCache::earlyOptModule(Vendor vendor, OptLevel level)
     if (!base_)
         base_ = lowerOnce(program_, printed_, &stats_);
     return earlyOpt_
-        .emplace(key, earlyOptimize(ir::cloneModule(*base_), point.first,
-                                    point.second, &stats_))
+        .emplace(point, earlyOptimize(ir::cloneModule(*base_),
+                                      point.first, point.second, &stats_))
         .first->second;
 }
 

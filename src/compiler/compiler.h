@@ -4,7 +4,8 @@
  * `gcc-13 -O2 -g -fsanitize=address a.c` in the paper.
  *
  * Pipeline (Figure 2): lower -> early optimizer passes -> sanitizer
- * pass -> sanitizer-check optimizer -> late optimizer passes. Debug
+ * pass -> sanitizer-check optimizer -> late optimizer passes, then the
+ * optional hardening passes. The pass lists live in opt/pass.h. Debug
  * metadata (-g) is always on. The resulting Binary carries the compile
  * log of injected-bug firings, which the fuzzer uses as ground truth
  * when evaluating the crash-site mapping oracle.
@@ -49,9 +50,8 @@ struct CompilerConfig
     int version = 0;
     OptLevel level = OptLevel::O0;
     SanitizerKind sanitizer = SanitizerKind::None;
-    /** Hardening families to schedule after every optimizer
-     *  (harden::k* bits); 0 — the default — compiles exactly as
-     *  before the pass-pipeline refactor. */
+    /** Hardening families to apply after every optimizer
+     *  (harden::k* bits); 0 — the default — hardens nothing. */
     uint32_t harden = 0;
 
     int
@@ -164,12 +164,13 @@ ir::Module earlyOptimize(ir::Module base, Vendor vendor, OptLevel level,
 /**
  * Stage 3: run everything that depends on the full configuration on
  * @p earlyOptimized — sanitizer instrumentation (with its
- * version-gated injected bugs), sanitizer-check optimization, the late
- * cleanup pipeline, and verification — and wrap it in a Binary.
+ * version-gated injected bugs), sanitizer-check optimization, one
+ * round of opt::latePasses, harden::apply, and verification — and wrap
+ * it in a Binary.
  *
  * Takes the module by value, like earlyOptimize: cached modules must
- * come in as ir::cloneModule copies (san::instrument panics if a
- * module is ever specialized twice).
+ * come in as ir::cloneModule copies (specialize panics if a module is
+ * ever specialized twice).
  */
 Binary specialize(ir::Module earlyOptimized,
                   const CompilerConfig &config,
@@ -252,14 +253,11 @@ class CompilationCache
     std::optional<ir::Module> base_;
     /**
      * Post-early-opt modules keyed by the canonical (vendor, level)
-     * point *and* the fingerprint of the registry pipeline that point
-     * builds. The fingerprint is redundant while canonicalEarlyOptPoint
-     * stays in sync with the registry — absorbing it makes the cache
-     * safe against the two drifting apart: a stale canonicalization
-     * then splits entries instead of serving a wrong module.
+     * point, which opt::canonicalEarlyOptPoint derives from the early
+     * pass lists themselves: two points share an entry only when they
+     * run the same passes for the same rounds.
      */
-    std::map<std::pair<std::pair<Vendor, OptLevel>, uint64_t>, ir::Module>
-        earlyOpt_;
+    std::map<std::pair<Vendor, OptLevel>, ir::Module> earlyOpt_;
     /** Memoized textHash(printed_.text); computed on first use. */
     mutable std::optional<uint64_t> baseTextHash_;
     CompileStats stats_;

@@ -190,58 +190,42 @@ runCampaignService(const CampaignConfig &config,
     if (jobs > static_cast<int>(toRun))
         jobs = static_cast<int>(toRun);
 
-    if (jobs <= 1) {
-        // Sequential: fold any replayed prefix, then the frontier
-        // always points at the next fresh position.
-        size_t freshDone = 0;
-        fold();
-        while (frontier < owned.size() && freshDone < toRun &&
-               !stopped()) {
-            std::optional<CampaignStats> stats = runOne(frontier);
+    // Workers steal fresh positions from a shared cursor and run each
+    // unit on a private accumulator — no locks on the hot path. A
+    // completed unit is folded into the total in strict position order
+    // under the fold mutex. The calling thread is the first worker, so
+    // `--jobs 1` claims the positions in order without starting a
+    // thread.
+    std::atomic<size_t> cursor{0};
+    std::atomic<int> ran{0};
+    std::mutex foldMutex;
+    auto work = [&] {
+        for (;;) {
+            if (stopped())
+                return;
+            size_t k = cursor.fetch_add(1, std::memory_order_relaxed);
+            if (k >= toRun)
+                return;
+            size_t p = fresh[k];
+            std::optional<CampaignStats> stats = runOne(p);
             if (!stats)
-                break; // stop request aborted the unit mid-run
-            pending.emplace(frontier, Slot{std::move(*stats), false});
-            freshDone++;
+                return; // stop request aborted the unit mid-run
+            ran.fetch_add(1, std::memory_order_relaxed);
+            std::lock_guard<std::mutex> lock(foldMutex);
+            pending.emplace(p, Slot{std::move(*stats), false});
             fold();
         }
-        res.unitsRun = static_cast<int>(freshDone);
-    } else {
-        // Workers steal fresh positions from a shared cursor and run
-        // each unit on a private accumulator — no locks on the hot
-        // path. A completed unit is folded into the total in strict
-        // position order under the fold mutex.
-        std::atomic<size_t> cursor{0};
-        std::atomic<int> ran{0};
-        std::mutex foldMutex;
-        auto work = [&] {
-            for (;;) {
-                if (stopped())
-                    return;
-                size_t k =
-                    cursor.fetch_add(1, std::memory_order_relaxed);
-                if (k >= toRun)
-                    return;
-                size_t p = fresh[k];
-                std::optional<CampaignStats> stats = runOne(p);
-                if (!stats)
-                    return; // stop request aborted the unit mid-run
-                ran.fetch_add(1, std::memory_order_relaxed);
-                std::lock_guard<std::mutex> lock(foldMutex);
-                pending.emplace(p, Slot{std::move(*stats), false});
-                fold();
-            }
-        };
-        std::vector<std::thread> pool;
-        pool.reserve(static_cast<size_t>(jobs));
-        for (int w = 0; w < jobs; w++)
-            pool.emplace_back(work);
-        for (std::thread &t : pool)
-            t.join();
-        // Drain any replayed tail (and handle the all-replayed case,
-        // where no worker ever folds).
-        fold();
-        res.unitsRun = ran.load();
-    }
+    };
+    std::vector<std::thread> pool;
+    for (int w = 1; w < jobs; w++)
+        pool.emplace_back(work);
+    work();
+    for (std::thread &t : pool)
+        t.join();
+    // Drain any replayed tail (and handle the all-replayed case, where
+    // no worker ever folds).
+    fold();
+    res.unitsRun = ran.load();
 
     res.complete = frontier == owned.size();
     // Each quarantined unit folded a delta whose only nonzero field

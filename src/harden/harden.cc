@@ -537,22 +537,25 @@ signFunction(Module &m, size_t fnIdx)
 } // namespace
 
 void
-runDuplicateComparePass(Module &m)
+apply(Module &m, uint32_t mask)
 {
-    for (Function &f : m.functions) {
-        if (f.blocks.empty())
+    for (uint32_t bit : {kDuplicateCompare, kCfgSignature}) {
+        if (!(mask & bit))
             continue;
-        DupRewriter(f).run();
-    }
-}
-
-void
-runCfgSignaturePass(Module &m)
-{
-    for (size_t fi = 0; fi < m.functions.size(); fi++) {
-        if (m.functions[fi].blocks.empty())
-            continue;
-        signFunction(m, fi);
+        // Per-family-once: a set bit means a cached module reached
+        // specialize without being cloned first.
+        UBF_ASSERT((m.hardenedWith & bit) == 0,
+                   "module already hardened with ", familyName(bit),
+                   " (missing ir::cloneModule before specialize?)");
+        m.hardenedWith |= bit;
+        for (size_t fi = 0; fi < m.functions.size(); fi++) {
+            if (m.functions[fi].blocks.empty())
+                continue;
+            if (bit == kDuplicateCompare)
+                DupRewriter(m.functions[fi]).run();
+            else
+                signFunction(m, fi);
+        }
     }
 }
 

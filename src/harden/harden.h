@@ -16,9 +16,9 @@
  *    The inter-block transfer of the full RACFED scheme is subsumed by
  *    DuplicateCompare's duplicated branch conditions.
  *
- * Both run as registered ModulePasses at the very end of the
- * specialization pipeline (after the sanitizer stage and the late
- * optimizer), so no optimizer ever sees — or deletes — the redundancy.
+ * compiler::specialize applies both at the very end (after the
+ * sanitizer stage and the late optimizer), so no optimizer ever sees —
+ * or deletes — the redundancy.
  * HardenCheck only reports while the VM has a FaultPlan armed, which
  * is what guarantees zero sanitizer-report drift on the ordinary
  * testing matrix even when the program's own UB corrupts shadow state.
@@ -56,11 +56,13 @@ std::string maskStr(uint32_t mask);
  */
 std::optional<uint32_t> parseMask(std::string_view text);
 
-/** Apply EDDI-style duplicate-and-compare to every function. */
-void runDuplicateComparePass(ir::Module &m);
-
-/** Apply the per-block signature store/check to every function. */
-void runCfgSignaturePass(ir::Module &m);
+/**
+ * Harden every function of @p m with the families in @p mask:
+ * duplicate-and-compare first, then the block signatures. Records each
+ * family in Module::hardenedWith and panics when one is already there
+ * (a cached module specialized without ir::cloneModule).
+ */
+void apply(ir::Module &m, uint32_t mask);
 
 } // namespace ubfuzz::harden
 

@@ -275,8 +275,8 @@ struct Module
     /**
      * Bitmask of hardening passes that ran on this module (harden::
      * kDuplicateCompare / kCfgSignature). Like `instrumentedWith`,
-     * this is the per-family-once invariant the pass pipeline
-     * enforces: re-running a family whose bit is already set panics.
+     * this is a per-family-once invariant, enforced by harden::apply:
+     * re-running a family whose bit is already set panics.
      * Part of executionKey — a hardened module must never share a
      * cached execution with its unhardened twin.
      */

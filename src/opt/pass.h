@@ -7,74 +7,100 @@
  * what creates cross-compiler discrepancies for the differential tester.
  * All passes assume the input program has no UB — exactly the assumption
  * that lets real optimizers delete UB code (§1, Challenge 2).
+ *
+ * The two optimizer halves of the Figure 2 pipeline are written down
+ * once, as plain pass lists: earlyPasses (before the sanitizer pass)
+ * and latePasses (after the sanitizer-check optimizer). compiler::
+ * earlyOptimize and compiler::specialize run them with runPasses.
  */
 
 #ifndef UBFUZZ_OPT_PASS_H
 #define UBFUZZ_OPT_PASS_H
 
 #include <memory>
-#include <string>
 #include <utility>
+#include <vector>
 
 #include "ir/ir.h"
 #include "support/toolchain.h"
 
 namespace ubfuzz::opt {
 
-/** Which half of the pipeline a pass list belongs to (Figure 2). */
-enum class Stage : uint8_t {
-    EarlyOpt, ///< before the sanitizer pass
-    LateOpt,  ///< after the sanitizer pass
-};
-
 class Pass
 {
   public:
     virtual ~Pass() = default;
-    virtual const char *name() const = 0;
     /** Transform one function. @return true if anything changed. */
     virtual bool run(ir::Module &m, ir::Function &f) = 0;
 };
 
-/** Local (block-scoped) constant folding and constant propagation. */
-std::unique_ptr<Pass> createConstFold();
-/** Algebraic peepholes; LLVM's flavour adds reassociation and x-x. */
-std::unique_ptr<Pass> createPeephole(Vendor vendor);
-/** Block-local common-subexpression elimination. */
-std::unique_ptr<Pass> createCSE();
-/** Store-to-load forwarding and redundant load elimination. */
-std::unique_ptr<Pass> createStoreForward();
-/** Dead-store elimination (overwrite-based + write-only objects). */
-std::unique_ptr<Pass> createDSE();
-/** Dead pure-instruction elimination. */
-std::unique_ptr<Pass> createDCE();
-/** Constant branch folding + unreachable block pruning. */
-std::unique_ptr<Pass> createSimplifyCFG();
+/** The function passes both vendors' pipelines are composed of. */
+enum class PassKind : uint8_t {
+    /** Local (block-scoped) constant folding and constant propagation. */
+    ConstFold,
+    /** Algebraic peepholes, GCC flavour. */
+    PeepholeGCC,
+    /** LLVM's peepholes: GCC's plus reassociation and x-x. */
+    PeepholeLLVM,
+    /** Block-local common-subexpression elimination. */
+    CSE,
+    /** Store-to-load forwarding and redundant load elimination. */
+    StoreForward,
+    /** Dead-store elimination (overwrite-based + write-only objects). */
+    DSE,
+    /** Dead pure-instruction elimination. */
+    DCE,
+    /** Constant branch folding + unreachable block pruning. */
+    SimplifyCFG,
+    /**
+     * GCC -O3 stack-slot lifetime hoisting: small loop-scoped locals
+     * are promoted to function scope. A *legitimate* transform that
+     * can invalidate use-after-scope UB — the source of the paper's
+     * one oracle false alarm (Figure 8).
+     */
+    LifetimeHoist,
+};
+
+/** Instantiate one pass. */
+std::unique_ptr<Pass> createPass(PassKind kind);
+
 /**
- * GCC -O3 stack-slot lifetime hoisting: small loop-scoped locals are
- * promoted to function scope. A *legitimate* transform that can
- * invalidate use-after-scope UB — the source of the paper's one
- * oracle false alarm (Figure 8).
+ * The early optimizer for (vendor, level): the passes that run before
+ * the sanitizer pass, which is where legitimate UB elimination happens.
  */
-std::unique_ptr<Pass> createLifetimeHoist();
-
-/** Fixpoint rounds the Figure 2 pipeline grants @p stage at @p level
- *  (-O2 and up run the early optimizer twice). */
-int stageIterations(OptLevel level, Stage stage);
+std::vector<PassKind> earlyPasses(Vendor vendor, OptLevel level);
 
 /**
- * The representative (vendor, level) whose *early* pipeline is
+ * The late cleanup optimizer, run for one round after the sanitizer
+ * pass and its check optimizer. Lighter than the early one and
+ * vendor-independent; sanitizer checks are opaque side-effecting
+ * instructions here, exactly like __asan_report calls in real
+ * compilers.
+ */
+std::vector<PassKind> latePasses(OptLevel level);
+
+/** Fixpoint rounds of the early optimizer (-O2 and up run it twice). */
+int earlyRounds(OptLevel level);
+
+/**
+ * Run @p passes over @p m in the pinned order `for round { for
+ * function { for pass } }`, stopping after the first round that
+ * changes nothing. test_passes pins the binary keys this order
+ * produces on a standard seed mix.
+ */
+void runPasses(ir::Module &m, const std::vector<PassKind> &passes,
+               int rounds);
+
+/**
+ * The representative (vendor, level) whose early optimizer is
  * identical — same pass list, same fixpoint rounds — to the given
- * point's. Both vendors run bare constant folding at -O0, and LLVM's
- * early pipeline only changes shape at the -O2 boundary, so -O0 is
- * vendor-independent, LLVM -Os folds into -O1, and LLVM -O3 into -O2.
- * The CompilationCache keys early-opt modules by this point, letting
- * equivalent matrix columns share one optimizer run.
- *
- * Must be kept in sync with passes::buildEarlyPipeline and
- * stageIterations; the test suite checks that every point shares its
- * representative's pipeline fingerprint and round count, and that both
- * produce identical modules on generated programs.
+ * point's: the first point, in (vendor, level) order, that runs the
+ * same earlyPasses for the same earlyRounds. Both vendors run bare
+ * constant folding at -O0, and LLVM's list only changes at the -O2
+ * boundary, so -O0 is vendor-independent, LLVM -Os folds into -O1, and
+ * LLVM -O3 into -O2. The CompilationCache keys early-opt modules by
+ * this point, letting equivalent matrix columns share one optimizer
+ * run.
  */
 std::pair<Vendor, OptLevel> canonicalEarlyOptPoint(Vendor vendor,
                                                    OptLevel level);

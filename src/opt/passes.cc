@@ -7,6 +7,7 @@
 #include <unordered_set>
 
 #include "support/coverage.h"
+#include "support/diagnostics.h"
 
 namespace ubfuzz::opt {
 
@@ -112,8 +113,6 @@ makeConst(Inst &inst, uint64_t value)
 class ConstFoldPass : public Pass
 {
   public:
-    const char *name() const override { return "constfold"; }
-
     bool
     run(Module &, Function &f) override
     {
@@ -197,7 +196,6 @@ class PeepholePass : public Pass
 {
   public:
     explicit PeepholePass(Vendor vendor) : vendor_(vendor) {}
-    const char *name() const override { return "peephole"; }
 
     bool
     run(Module &, Function &f) override
@@ -350,8 +348,6 @@ class PeepholePass : public Pass
 class CSEPass : public Pass
 {
   public:
-    const char *name() const override { return "cse"; }
-
     bool
     run(Module &, Function &f) override
     {
@@ -491,8 +487,6 @@ rangesOverlap(int64_t a, uint64_t asz, int64_t b, uint64_t bsz)
 class StoreForwardPass : public Pass
 {
   public:
-    const char *name() const override { return "storefwd"; }
-
     bool
     run(Module &, Function &f) override
     {
@@ -595,8 +589,6 @@ class StoreForwardPass : public Pass
 class DSEPass : public Pass
 {
   public:
-    const char *name() const override { return "dse"; }
-
     bool
     run(Module &, Function &f) override
     {
@@ -767,8 +759,6 @@ class DSEPass : public Pass
 class DCEPass : public Pass
 {
   public:
-    const char *name() const override { return "dce"; }
-
     bool
     run(Module &, Function &f) override
     {
@@ -814,8 +804,6 @@ class DCEPass : public Pass
 class SimplifyCFGPass : public Pass
 {
   public:
-    const char *name() const override { return "simplifycfg"; }
-
     bool
     run(Module &, Function &f) override
     {
@@ -902,8 +890,6 @@ class SimplifyCFGPass : public Pass
 class LifetimeHoistPass : public Pass
 {
   public:
-    const char *name() const override { return "lifetimehoist"; }
-
     bool
     run(Module &, Function &f) override
     {
@@ -969,44 +955,30 @@ class LifetimeHoistPass : public Pass
 
 } // namespace
 
-std::unique_ptr<Pass> createConstFold()
+std::unique_ptr<Pass>
+createPass(PassKind kind)
 {
-    return std::make_unique<ConstFoldPass>();
-}
-
-std::unique_ptr<Pass> createPeephole(Vendor vendor)
-{
-    return std::make_unique<PeepholePass>(vendor);
-}
-
-std::unique_ptr<Pass> createCSE()
-{
-    return std::make_unique<CSEPass>();
-}
-
-std::unique_ptr<Pass> createStoreForward()
-{
-    return std::make_unique<StoreForwardPass>();
-}
-
-std::unique_ptr<Pass> createDSE()
-{
-    return std::make_unique<DSEPass>();
-}
-
-std::unique_ptr<Pass> createDCE()
-{
-    return std::make_unique<DCEPass>();
-}
-
-std::unique_ptr<Pass> createSimplifyCFG()
-{
-    return std::make_unique<SimplifyCFGPass>();
-}
-
-std::unique_ptr<Pass> createLifetimeHoist()
-{
-    return std::make_unique<LifetimeHoistPass>();
+    switch (kind) {
+      case PassKind::ConstFold:
+        return std::make_unique<ConstFoldPass>();
+      case PassKind::PeepholeGCC:
+        return std::make_unique<PeepholePass>(Vendor::GCC);
+      case PassKind::PeepholeLLVM:
+        return std::make_unique<PeepholePass>(Vendor::LLVM);
+      case PassKind::CSE:
+        return std::make_unique<CSEPass>();
+      case PassKind::StoreForward:
+        return std::make_unique<StoreForwardPass>();
+      case PassKind::DSE:
+        return std::make_unique<DSEPass>();
+      case PassKind::DCE:
+        return std::make_unique<DCEPass>();
+      case PassKind::SimplifyCFG:
+        return std::make_unique<SimplifyCFGPass>();
+      case PassKind::LifetimeHoist:
+        return std::make_unique<LifetimeHoistPass>();
+    }
+    UBF_PANIC("unknown pass kind ", static_cast<int>(kind));
 }
 
 } // namespace ubfuzz::opt

@@ -3,7 +3,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "passes/pass.h"
 #include "sanitizer/pass_util.h"
 #include "support/coverage.h"
 #include "support/diagnostics.h"
@@ -331,24 +330,26 @@ runSanOpt(Module &m, const SanitizerContext &ctx)
 void
 instrument(Module &m, const SanitizerContext &ctx)
 {
+    if (ctx.kind == SanitizerKind::None)
+        return;
     // The staged compiler hands out cached modules for specialization;
     // each must be cloned first, and a module that already went through
-    // a sanitizer pass can never go through one again. The panic lives
-    // in ir::PassContext::noteInstrumented — the per-family-once
-    // invariant shared with the hardening passes.
+    // a sanitizer pass can never go through one again.
+    UBF_ASSERT(m.instrumentedWith == SanitizerKind::None,
+               "module already instrumented with ",
+               sanitizerName(m.instrumentedWith),
+               " (missing ir::cloneModule before specialize?)");
+    m.instrumentedWith = ctx.kind;
     switch (ctx.kind) {
       case SanitizerKind::None:
-        return;
+        break;
       case SanitizerKind::ASan:
-        ir::PassContext::noteInstrumented(m, ctx.kind);
         runAsanPass(m, ctx);
         break;
       case SanitizerKind::UBSan:
-        ir::PassContext::noteInstrumented(m, ctx.kind);
         runUbsanPass(m, ctx);
         break;
       case SanitizerKind::MSan:
-        ir::PassContext::noteInstrumented(m, ctx.kind);
         runMsanPass(m, ctx);
         break;
     }

@@ -8,19 +8,6 @@
 #include "support/diagnostics.h"
 #include "vm/bytecode.h"
 
-/**
- * Dispatch strategy for the bytecode interpreter: computed goto
- * (labels-as-values) where the compiler supports it, a tight switch in
- * a loop otherwise. The handler bodies are shared between both forms
- * via the VM_CASE/VM_NEXT macros in execProgram.
- */
-#if (defined(__GNUC__) || defined(__clang__)) &&                           \
-    !defined(UBFUZZ_NO_COMPUTED_GOTO)
-#define UBFUZZ_CGOTO 1
-#else
-#define UBFUZZ_CGOTO 0
-#endif
-
 namespace ubfuzz::vm {
 
 using ir::Inst;
@@ -2022,11 +2009,10 @@ struct Machine::Impl
     }
 
     /**
-     * The dispatch loop proper. Handler bodies are written once and
-     * compiled either as computed-goto labels (direct threading) or as
-     * cases of a tight switch, selected by UBFUZZ_CGOTO. The label
-     * table is generated from the same X-macro as the BOp enum, so the
-     * orders cannot drift apart.
+     * The dispatch loop proper: computed goto (labels-as-values, a GCC
+     * and Clang extension), i.e. direct threading. The label table is
+     * generated from the same X-macro as the BOp enum, so the orders
+     * cannot drift apart.
      */
     template <Mode M>
     void
@@ -2055,7 +2041,6 @@ struct Machine::Impl
 #define VM_B() ((bi->flags & bc::kOpBImm) ? bi->y : f->regs[bi->b])
 #define VM_C() ((bi->flags & bc::kOpCImm) ? bi->imm : f->regs[bi->c])
 
-#if UBFUZZ_CGOTO
         static const void *const tbl[] = {
 #define UBFUZZ_BC_LABEL(name) &&H_##name,
             UBFUZZ_BC_OPS(UBFUZZ_BC_LABEL)
@@ -2087,27 +2072,6 @@ struct Machine::Impl
         goto *tbl[static_cast<size_t>(bi->op)];                        \
     } while (0)
         VM_NEXT();
-#else
-#define VM_CASE(name) case bc::BOp::name
-#define VM_NEXT() continue
-        for (;;) {
-            if (done_)
-                break;
-            if (steps >= limit) {
-                result_.kind = ExecResult::Kind::Timeout;
-                break;
-            }
-            bi = &code[pc];
-            steps++;
-            if (bi->flags & bc::kOpLocValid)
-                curLocPc = pc;
-            if (mTrace<M>())
-                recordTrace(locs[pc]);
-            if (mFault<M>() && steps == opts_.fault->step)
-                applyFault(f->regs, f->objIds,
-                           bp_->functions[f->fnIdx].frame);
-            switch (bi->op) {
-#endif
 
         VM_CASE(Nop) : { pc++; }
         VM_NEXT();
@@ -2642,12 +2606,7 @@ struct Machine::Impl
         }
         VM_NEXT();
 
-#if UBFUZZ_CGOTO
     vm_out:;
-#else
-            }
-        }
-#endif
         result_.steps = steps;
 
 #undef VM_CASE

@@ -1,9 +1,8 @@
 /**
  * @file
- * Pass-pipeline tests: registry-built pipelines are deterministic
- * (byte-identical pipelineId sequences on every build), registration
- * collisions die loudly, the adapter pipelines reproduce a pinned
- * binary-key golden over a standard seed mix, and the hardening passes
+ * Pass-pipeline tests: the Figure 2 pipeline reproduces pinned
+ * binary-key goldens over a standard seed mix, plain and hardened,
+ * each hardening family runs once per module, and the hardening passes
  * are silent until a FaultPlan is armed.
  */
 
@@ -13,7 +12,6 @@
 #include "frontend/parser.h"
 #include "generator/generator.h"
 #include "harden/harden.h"
-#include "passes/registry.h"
 #include "support/serialize.h"
 #include "vm/vm.h"
 
@@ -22,18 +20,7 @@ namespace {
 
 using compiler::Binary;
 using compiler::CompilerConfig;
-using passes::PassRegistry;
-using passes::Pipeline;
 using vm::ExecResult;
-
-std::vector<uint64_t>
-idsOf(const Pipeline &p)
-{
-    std::vector<uint64_t> ids;
-    for (const auto &pass : p)
-        ids.push_back(pass->pipelineId());
-    return ids;
-}
 
 CompilerConfig
 cfg(Vendor v, OptLevel l, SanitizerKind s = SanitizerKind::None,
@@ -64,111 +51,53 @@ standardConfigs()
     return cs;
 }
 
-TEST(Passes, EarlyPipelinesAreByteIdenticalAcrossBuilds)
+/**
+ * A standard seed mix — the generator's own programs, swept over every
+ * standardConfigs() entry, each built under every mask in @p masks —
+ * folded into one FNV-1a over the (hash, length) of every binary's
+ * ir::binaryKey.
+ */
+uint64_t
+pinnedKeyDigest(std::initializer_list<uint32_t> masks)
 {
-    for (Vendor v : {Vendor::GCC, Vendor::LLVM}) {
-        for (OptLevel l : kAllOptLevels) {
-            Pipeline a = passes::buildEarlyPipeline(v, l);
-            Pipeline b = passes::buildEarlyPipeline(v, l);
-            EXPECT_EQ(idsOf(a), idsOf(b))
-                << vendorName(v) << " " << optLevelName(l);
-            EXPECT_EQ(passes::pipelineFingerprint(a),
-                      passes::pipelineFingerprint(b));
-            // The memoized form the compilation cache keys on agrees
-            // with a fresh instantiation.
-            EXPECT_EQ(passes::earlyPipelineFingerprint(v, l),
-                      passes::pipelineFingerprint(a));
-        }
-    }
-}
-
-TEST(Passes, SpecializePipelinesAreByteIdenticalAcrossBuilds)
-{
-    for (const CompilerConfig &c : standardConfigs()) {
-        for (uint32_t mask : {0u, harden::kDuplicateCompare,
-                              harden::kAllFamilies}) {
-            Pipeline a = passes::buildSpecializePipeline(
-                c.vendor, c.level, c.sanitizer, mask);
-            Pipeline b = passes::buildSpecializePipeline(
-                c.vendor, c.level, c.sanitizer, mask);
-            EXPECT_EQ(idsOf(a), idsOf(b)) << c.str();
-            EXPECT_EQ(passes::pipelineFingerprint(a),
-                      passes::pipelineFingerprint(b));
-        }
-    }
-}
-
-TEST(Passes, DistinctInstrumentationSetsGetDistinctFingerprints)
-{
-    auto fp = [](SanitizerKind s, uint32_t mask) {
-        return passes::pipelineFingerprint(passes::buildSpecializePipeline(
-            Vendor::GCC, OptLevel::O2, s, mask));
-    };
-    uint64_t none = fp(SanitizerKind::None, 0);
-    uint64_t asan = fp(SanitizerKind::ASan, 0);
-    uint64_t dup = fp(SanitizerKind::None, harden::kDuplicateCompare);
-    uint64_t all = fp(SanitizerKind::None, harden::kAllFamilies);
-    EXPECT_NE(none, asan);
-    EXPECT_NE(none, dup);
-    EXPECT_NE(dup, all);
-    EXPECT_NE(asan, dup);
-}
-
-TEST(PassesDeathTest, DuplicateNameRegistrationDies)
-{
-    auto factory = [] {
-        return PassRegistry::instance().create("dce");
-    };
-    EXPECT_DEATH_IF_SUPPORTED(
-        PassRegistry::instance().add("constfold", 0x1234567890abcdefULL,
-                                     factory),
-        "registered twice");
-}
-
-TEST(PassesDeathTest, CollidingPipelineIdDies)
-{
-    uint64_t taken =
-        PassRegistry::instance().create("constfold")->pipelineId();
-    auto factory = [] {
-        return PassRegistry::instance().create("dce");
-    };
-    EXPECT_DEATH_IF_SUPPORTED(
-        PassRegistry::instance().add("brand-new-pass", taken, factory),
-        "collides");
-}
-
-TEST(Passes, UnknownPassNameDies)
-{
-    EXPECT_FALSE(PassRegistry::instance().has("no-such-pass"));
-    EXPECT_DEATH_IF_SUPPORTED(
-        PassRegistry::instance().create("no-such-pass"), "unknown pass");
-}
-
-TEST(Passes, RegistryPipelinesMatchLegacyExecutionKeys)
-{
-    // A standard seed mix — the generator's own programs, swept over
-    // every vendor/level and each sanitizer — folded into one FNV-1a
-    // over the (hash, length) of every binary's ir::binaryKey. The
-    // golden was recorded while the registry pipelines still matched
-    // the hand-written pass sequences they replaced, bit for bit; any
-    // change to a pass, the pipeline composition, or the fixpoint
-    // order moves it. This is the unit-level form of the campaign
-    // digest anchor.
-    std::vector<CompilerConfig> configs = standardConfigs();
     support::ByteWriter keys;
     for (uint64_t seed = 1; seed <= 6; seed++) {
         gen::GeneratorConfig gc;
         gc.seed = seed;
         auto prog = gen::generateProgram(gc);
         ast::PrintedProgram printed = ast::printProgram(*prog);
-        for (const CompilerConfig &c : configs) {
-            ir::BinaryKey key =
-                ir::binaryKey(compiler::compile(*prog, printed, c).module);
-            keys.u64(key.hash);
-            keys.u64(key.len);
+        for (CompilerConfig c : standardConfigs()) {
+            for (uint32_t mask : masks) {
+                c.harden = mask;
+                ir::BinaryKey key = ir::binaryKey(
+                    compiler::compile(*prog, printed, c).module);
+                keys.u64(key.hash);
+                keys.u64(key.len);
+            }
         }
     }
-    EXPECT_EQ(support::fnv1a(keys.data()), 0x71f2e4c8810cf102ULL);
+    return support::fnv1a(keys.data());
+}
+
+TEST(Passes, RegistryPipelinesMatchLegacyExecutionKeys)
+{
+    // Any change to a pass, the pass lists, or the fixpoint order
+    // moves this golden, so a refactor of the pipeline must keep it
+    // bit for bit. This is the unit-level form of the campaign digest
+    // anchor.
+    EXPECT_EQ(pinnedKeyDigest({0}), 0x71f2e4c8810cf102ULL);
+}
+
+TEST(Passes, HardenedPipelinesMatchPinnedKeys)
+{
+    // The hardened twin of the golden above. The other compile goldens
+    // all build with harden = 0, so this is the test that pins the
+    // order in which specialize hardens (dup, then sig) and what each
+    // family emits.
+    EXPECT_EQ(pinnedKeyDigest({harden::kDuplicateCompare,
+                               harden::kCfgSignature,
+                               harden::kAllFamilies}),
+              0xe42b69d37eacaec9ULL);
 }
 
 TEST(Passes, HardenedModuleRecordsItsFamilies)
@@ -201,10 +130,9 @@ TEST(PassesDeathTest, RerunningAHardeningFamilyDies)
         *prog,
         cfg(Vendor::GCC, OptLevel::O0, SanitizerKind::None,
             harden::kDuplicateCompare));
-    auto pass = PassRegistry::instance().create("harden.dup");
-    ir::PassContext ctx;
-    EXPECT_DEATH_IF_SUPPORTED(pass->run(b.module, ctx),
-                              "already hardened");
+    EXPECT_DEATH_IF_SUPPORTED(
+        harden::apply(b.module, harden::kDuplicateCompare),
+        "already hardened");
 }
 
 TEST(Passes, HardeningIsSilentWithoutAnArmedFault)
