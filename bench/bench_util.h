@@ -1,9 +1,9 @@
 /**
  * @file
- * Shared helpers for the experiment-reproduction harnesses. Every
- * bench binary regenerates one of the paper's tables or figures; the
- * campaign scale is controlled by UBFUZZ_BENCH_SEEDS (default tuned so
- * each binary finishes in well under a minute).
+ * Shared helpers for the bench binaries: bench_paper (every paper
+ * table and figure), bench_throughput and bench_exec. Campaign scale
+ * is controlled by UBFUZZ_BENCH_SEEDS; each artifact keeps its own
+ * default when it is unset.
  */
 
 #ifndef UBFUZZ_BENCH_BENCH_UTIL_H
@@ -13,7 +13,6 @@
 #include <cstdlib>
 #include <string>
 
-#include "fuzzer/fuzzer.h"
 #include "support/parse_num.h"
 
 namespace ubfuzz::bench {
@@ -40,16 +39,6 @@ seedCount(int fallback = 60)
         std::exit(2);
     }
     return *v;
-}
-
-inline fuzzer::CampaignStats
-runStandardCampaign(int seeds = seedCount())
-{
-    fuzzer::CampaignConfig cfg;
-    cfg.seed = 20240427; // ASPLOS'24 conference date
-    cfg.numSeeds = seeds;
-    cfg.capPerKind = 4;
-    return fuzzer::runCampaign(cfg);
 }
 
 inline void

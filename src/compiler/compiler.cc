@@ -5,6 +5,7 @@
 #include "opt/pass.h"
 #include "sanitizer/sanitizer.h"
 #include "support/diagnostics.h"
+#include "support/serialize.h"
 
 namespace ubfuzz::compiler {
 
@@ -105,19 +106,10 @@ compileProgram(const ast::Program &program, const CompilerConfig &config)
 }
 
 uint64_t
-textHash(std::string_view text)
-{
-    uint64_t h = 0xcbf29ce484222325ULL;
-    for (unsigned char c : text)
-        h = (h ^ c) * 0x100000001b3ULL;
-    return h;
-}
-
-uint64_t
 CompilationCache::baseTextHash() const
 {
     if (!baseTextHash_)
-        baseTextHash_ = textHash(printed_.text);
+        baseTextHash_ = support::fnv1a(printed_.text);
     return *baseTextHash_;
 }
 

@@ -31,7 +31,6 @@
 #include <map>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <utility>
 
 #include "ast/ast.h"
@@ -190,14 +189,6 @@ Binary compileProgram(const ast::Program &program,
                       const CompilerConfig &config);
 
 /**
- * FNV-1a over @p text. The campaign's corpus dedup keys tested
- * programs by the hash of their printed text (the compiler's sole
- * input besides the config), so the hash lives here next to the
- * pipeline it fingerprints.
- */
-uint64_t textHash(std::string_view text);
-
-/**
  * Per-program memoization of the compile-once stages: the lowered base
  * module, and the post-early-opt module per (vendor, level). One cache
  * serves a whole testing matrix — every sanitizer row reuses the same
@@ -227,9 +218,10 @@ class CompilationCache
 
     /**
      * Hash of the printed base text every binary of this cache is
-     * compiled from (memoized textHash(printed.text)). Two caches with
-     * equal hashes compile identical binaries under every config —
-     * the key the campaign's cross-seed corpus dedup is built on.
+     * compiled from (memoized support::fnv1a(printed.text)). Two
+     * caches with equal hashes compile identical binaries under every
+     * config — the key the campaign's cross-seed corpus dedup is built
+     * on.
      */
     uint64_t baseTextHash() const;
 
@@ -258,7 +250,8 @@ class CompilationCache
      * run the same passes for the same rounds.
      */
     std::map<std::pair<Vendor, OptLevel>, ir::Module> earlyOpt_;
-    /** Memoized textHash(printed_.text); computed on first use. */
+    /** Memoized support::fnv1a(printed_.text); computed on first
+     *  use. */
     mutable std::optional<uint64_t> baseTextHash_;
     CompileStats stats_;
 };

@@ -2,8 +2,8 @@
  * @file
  * The embedded UB test corpus — our stand-in for the NIST Juliet test
  * suite (§4.3). Fixed, curated, minimal programs that each contain one
- * known, sanitizer-detectable UB. The paper's finding (reproduced by
- * bench_table4_generators): because these programs exercise only plain
+ * known, sanitizer-detectable UB. The paper's finding (reproduced in
+ * bench_paper's Table 4): because these programs exercise only plain
  * textbook patterns, none of them reveals a sanitizer FN bug.
  */
 

@@ -184,11 +184,11 @@ struct TestItem
     uint32_t siteId = 0;
     /** Expected UB location; computed per printing. */
     SourceLoc gtLoc;
-    /** Printed form and ground-truth lowering carried over from the
-     *  classify pass (baseline modes), so testItem neither re-prints
-     *  nor re-lowers what the classifier already produced. */
-    std::optional<ast::PrintedProgram> printed;
-    std::optional<ir::Module> baseModule;
+    /** Printed form and ground-truth lowering carried over from
+     *  validation or classification, so testItem neither re-prints nor
+     *  re-lowers what its producer already built. */
+    ast::PrintedProgram printed;
+    ir::Module baseModule;
 };
 
 /**
@@ -485,9 +485,7 @@ class Campaign
     void
     testItem(TestItem item)
     {
-        ast::PrintedProgram printed =
-            item.printed ? std::move(*item.printed)
-                         : ast::printProgram(*item.program);
+        ast::PrintedProgram printed = std::move(item.printed);
         SourceLoc ub_loc =
             item.siteId ? printed.map.loc(item.siteId) : item.gtLoc;
 
@@ -495,8 +493,7 @@ class Campaign
         // matrix below shares a single lowering and one early-opt run
         // per (vendor, level).
         compiler::CompilationCache cache(*item.program, printed);
-        if (item.baseModule)
-            cache.adoptBase(std::move(*item.baseModule));
+        cache.adoptBase(std::move(item.baseModule));
 
         CorpusKey key;
         key.textHash = cache.baseTextHash();

@@ -15,12 +15,10 @@
 #include <thread>
 #include <utility>
 
-#if !defined(_WIN32)
 #include <csignal>
 #include <poll.h>
 #include <sys/wait.h>
 #include <unistd.h>
-#endif
 
 #include "support/diagnostics.h"
 #include "support/serialize.h"
@@ -101,8 +99,6 @@ stopRequested(const std::atomic<bool> *stop)
 {
     return stop && stop->load(std::memory_order_relaxed);
 }
-
-#if !defined(_WIN32)
 
 void
 writeAll(int fd, std::string_view bytes)
@@ -250,24 +246,6 @@ runAttempt(const CampaignConfig &config, int unit, int attempt,
     }
     return status;
 }
-
-#else // _WIN32
-
-// No fork on Windows: run the unit in-process so the service still
-// works, minus the isolation (the deterministic result is identical).
-AttemptStatus
-runAttempt(const CampaignConfig &config, int unit, int attempt,
-           CorpusMemo *memo, const std::atomic<bool> *stop,
-           const UnitWorkFn &work, detail::UnitOutput &out)
-{
-    (void)attempt;
-    if (stopRequested(stop))
-        return AttemptStatus::Stopped;
-    out = computeUnit(config, unit, memo, work);
-    return AttemptStatus::Frame;
-}
-
-#endif
 
 } // namespace
 

@@ -17,6 +17,9 @@ earlyPasses(Vendor vendor, OptLevel level)
     std::vector<PassKind> p{ConstFold};
     if (level == OptLevel::O0)
         return p;
+    // Room for the longest list (LLVM -O2: 11 passes). Without it GCC
+    // 12 reports -Warray-bounds false positives on the inserts below.
+    p.reserve(12);
     p.push_back(peephole);
     if (vendor == Vendor::GCC) {
         // GCC: CSE and DSE arrive at -Os/-O2; store forwarding and

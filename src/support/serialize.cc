@@ -1,7 +1,6 @@
 #include "support/serialize.h"
 
 #include "fuzzer/fuzzer.h"
-#include "ir/ir.h"
 
 namespace ubfuzz::support {
 
@@ -51,21 +50,6 @@ getConfig(ByteReader &r, compiler::CompilerConfig &c)
 }
 
 } // namespace
-
-void
-serialize(ByteWriter &w, const ir::BinaryKey &key)
-{
-    w.u64(key.hash);
-    w.u64(key.len);
-}
-
-bool
-deserialize(ByteReader &r, ir::BinaryKey &key)
-{
-    key.hash = r.u64();
-    key.len = r.u64();
-    return r.ok();
-}
 
 void
 serialize(ByteWriter &w, const fuzzer::CorpusKey &key)

@@ -17,11 +17,10 @@
  * state that crosses process boundaries: fuzzer::CampaignStats
  * (including compiler::CompileStats and vm::ExecStats), findings
  * (fuzzer::FindingRecord), and corpus-memo entries — all keyed by the
- * existing (textHash, length, kind, site) identity (fuzzer::CorpusKey)
- * and ir::BinaryKey identities. Deserialization is bounds-checked and
- * total: torn or corrupt input flips the reader's fail flag instead of
- * reading out of bounds, which is what the store's truncated-tail
- * recovery is built on.
+ * existing (textHash, length, kind, site) identity (fuzzer::CorpusKey).
+ * Deserialization is bounds-checked and total: torn or corrupt input
+ * flips the reader's fail flag instead of reading out of bounds, which
+ * is what the store's truncated-tail recovery is built on.
  */
 
 #ifndef UBFUZZ_SUPPORT_SERIALIZE_H
@@ -38,10 +37,6 @@ struct CampaignStats;
 struct FindingRecord;
 struct CorpusKey;
 } // namespace fuzzer
-
-namespace ir {
-struct BinaryKey;
-}
 
 namespace support {
 
@@ -183,9 +178,6 @@ uint64_t fnv1a(std::string_view bytes);
 /** @{ Campaign-state serializers. Deserializers return the reader's
  *  ok(): false means torn/corrupt input, and the output value must
  *  not be used. */
-void serialize(ByteWriter &w, const ir::BinaryKey &key);
-bool deserialize(ByteReader &r, ir::BinaryKey &key);
-
 void serialize(ByteWriter &w, const fuzzer::CorpusKey &key);
 bool deserialize(ByteReader &r, fuzzer::CorpusKey &key);
 

@@ -154,11 +154,16 @@ TEST(Service, StreamsUnitsInOrder)
     cfg.jobs = 4;
 
     std::vector<int> folded;
+    CampaignStats prefix;
     ServiceOptions opts;
-    opts.onUnitFolded = [&folded](int unit, const CampaignStats &,
-                                  bool replayed) {
+    opts.onUnitFolded = [&](int unit, const CampaignStats &delta,
+                            bool replayed) {
         EXPECT_FALSE(replayed);
         folded.push_back(unit);
+        if (unit < 3) {
+            CampaignStats copy = delta;
+            detail::mergeCampaignStats(prefix, std::move(copy));
+        }
     };
     ServiceResult res = runCampaignService(cfg, opts);
     EXPECT_TRUE(res.complete);
@@ -168,6 +173,16 @@ TEST(Service, StreamsUnitsInOrder)
     // Strict unit order even with a racing pool: the fold frontier is
     // what makes `--serve` output identical run to run.
     EXPECT_EQ(folded, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+
+    // A unit's delta does not depend on the campaign's size: the first
+    // three streamed deltas fold into the 3-seed campaign exactly
+    // (bench_paper serves its 60- and 120-seed artifacts from one run
+    // on this property).
+    cfg.numSeeds = 3;
+    CampaignStats small = runCampaign(cfg);
+    ASSERT_GT(small.findings.size(), 0u);
+    expectIdentical(small, prefix);
+    EXPECT_EQ(findingsDigest(prefix), findingsDigest(small));
 }
 
 TEST(Service, KillAndResumeIsBitIdentical)

@@ -11,7 +11,6 @@
 
 #include "fuzzer/fuzzer.h"
 #include "harden/harden.h"
-#include "ir/ir.h"
 #include "support/serialize.h"
 
 namespace ubfuzz {
@@ -160,21 +159,6 @@ TEST(Serialize, CampaignStatsGoldenDigest)
     EXPECT_EQ(support::kSerializeFormatVersion, 4u);
     EXPECT_EQ(w.size(), 650u);
     EXPECT_EQ(support::fnv1a(w.data()), 0xd84be5ff79ef3021ULL);
-}
-
-TEST(Serialize, BinaryKeyRoundTrip)
-{
-    ir::BinaryKey key;
-    key.hash = 0xfeedface12345678ULL;
-    key.len = 4096;
-    ByteWriter w;
-    support::serialize(w, key);
-    ByteReader r(w.data());
-    ir::BinaryKey back;
-    ASSERT_TRUE(support::deserialize(r, back));
-    EXPECT_EQ(r.remaining(), 0u);
-    EXPECT_EQ(back.hash, key.hash);
-    EXPECT_EQ(back.len, key.len);
 }
 
 TEST(Serialize, FindingRecordRoundTrip)
