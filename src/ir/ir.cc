@@ -1,7 +1,8 @@
 #include "ir/ir.h"
 
+#include <algorithm>
+#include <cstring>
 #include <sstream>
-#include <unordered_set>
 
 namespace ubfuzz::ir {
 
@@ -231,16 +232,17 @@ namespace {
 
 /**
  * The one serializer behind executionKey and binaryKey: every field
- * the VM reads, in a fixed order, written through @p raw. binaryKey
- * streams the bytes into an FNV-1a hash without materializing the
- * multi-KB string — it runs once per execution on paths that have no
- * precomputed key, so the allocation matters.
+ * the VM reads, in a fixed order, written to @p sink as 64-bit words
+ * (`sink.word(v)`) and, for global initializers, raw bytes
+ * (`sink.bytes(p, n)`, always preceded by the word n). The stream is
+ * self-delimiting, so two modules produce the same sequence of sink
+ * calls exactly when they produce the same bytes.
  */
-template <typename RawFn>
+template <typename Sink>
 void
-serializeExecutionKey(const Module &m, RawFn &&raw)
+serializeExecutionKey(const Module &m, Sink &sink)
 {
-    auto u64 = [&raw](uint64_t v) { raw(&v, sizeof(v)); };
+    auto u64 = [&sink](uint64_t v) { sink.word(v); };
     auto val = [&u64](const Value &v) {
         u64(static_cast<uint64_t>(v.tag));
         u64(v.reg);
@@ -261,7 +263,7 @@ serializeExecutionKey(const Module &m, RawFn &&raw)
         u64(g.poisonSkip);
         u64(g.declId);
         u64(g.init.size());
-        raw(g.init.data(), g.init.size());
+        sink.bytes(g.init.data(), g.init.size());
         u64(g.relocs.size());
         for (const GlobalObject::Reloc &r : g.relocs) {
             u64(r.offset);
@@ -313,38 +315,143 @@ serializeExecutionKey(const Module &m, RawFn &&raw)
     }
 }
 
+/** executionKey's sink: appends each word's 8 native-order bytes and
+ *  the raw bytes verbatim. */
+struct StringSink
+{
+    std::string out;
+
+    void
+    word(uint64_t v)
+    {
+        out.append(reinterpret_cast<const char *>(&v), sizeof(v));
+    }
+
+    void
+    bytes(const void *p, size_t n)
+    {
+        out.append(static_cast<const char *>(p), n);
+    }
+};
+
+/** Fold the 128-bit product of @p a and @p b into 64 bits (hi ^ lo). */
+inline uint64_t
+mulFold(uint64_t a, uint64_t b)
+{
+    unsigned __int128 r = static_cast<unsigned __int128>(a) * b;
+    return static_cast<uint64_t>(r) ^ static_cast<uint64_t>(r >> 64);
+}
+
+/** MurmurHash3's 64-bit finalizer. */
+inline uint64_t
+fmix64(uint64_t h)
+{
+    h ^= h >> 33;
+    h *= 0xff51afd7ed558ccdULL;
+    h ^= h >> 33;
+    h *= 0xc4ceb9fe1a85ec53ULL;
+    h ^= h >> 33;
+    return h;
+}
+
+/**
+ * binaryKey's sink: hashes the serialization without materializing
+ * it. Word i of the stream is mixed into lane i mod 4 as
+ * lane = mulFold(lane ^ word, kLaneMul); the four lanes are independent
+ * chains, so their multiplies overlap. The lanes rotate through a_..d_
+ * (a_ always takes the next word), which keeps the whole state in
+ * registers once the serializer is inlined. Raw bytes are read 8 at a
+ * time; a partial tail word carries its byte count in its top byte,
+ * above the at most 7 data bytes. The key's length counts serialized
+ * bytes exactly as executionKey(m).size() does.
+ */
+class HashSink
+{
+  public:
+    void
+    word(uint64_t v)
+    {
+        len_ += sizeof(v);
+        mix(v);
+    }
+
+    void
+    bytes(const void *p, size_t n)
+    {
+        len_ += n;
+        const unsigned char *b = static_cast<const unsigned char *>(p);
+        for (; n >= sizeof(uint64_t); b += sizeof(uint64_t),
+                                      n -= sizeof(uint64_t)) {
+            uint64_t w;
+            std::memcpy(&w, b, sizeof(w));
+            mix(w);
+        }
+        if (n) {
+            uint64_t w = 0;
+            std::memcpy(&w, b, n);
+            mix(w | static_cast<uint64_t>(n) << 56);
+        }
+    }
+
+    BinaryKey
+    finish() const
+    {
+        uint64_t h = len_;
+        h = mulFold(h ^ a_, 0xa0761d6478bd642fULL);
+        h = mulFold(h ^ b_, 0xe7037ed1a0b428dbULL);
+        h = mulFold(h ^ c_, 0x8ebc6af09c88c6e3ULL);
+        h = mulFold(h ^ d_, 0x589965cc75374cc3ULL);
+        BinaryKey key;
+        key.hash = fmix64(h);
+        key.len = len_;
+        return key;
+    }
+
+  private:
+    static constexpr uint64_t kLaneMul = 0x9e3779b97f4a7c15ULL;
+
+    void
+    mix(uint64_t w)
+    {
+        uint64_t lane = mulFold(a_ ^ w, kLaneMul);
+        a_ = b_;
+        b_ = c_;
+        c_ = d_;
+        d_ = lane;
+    }
+
+    /** Lane seeds: the first hex digits of pi. */
+    uint64_t a_ = 0x243f6a8885a308d3ULL;
+    uint64_t b_ = 0x13198a2e03707344ULL;
+    uint64_t c_ = 0xa4093822299f31d0ULL;
+    uint64_t d_ = 0x082efa98ec4e6c89ULL;
+    uint64_t len_ = 0;
+};
+
 } // namespace
 
 std::string
 executionKey(const Module &m)
 {
-    std::string key;
-    key.reserve(4096);
-    serializeExecutionKey(m, [&key](const void *p, size_t n) {
-        key.append(static_cast<const char *>(p), n);
-    });
-    return key;
+    StringSink sink;
+    sink.out.reserve(4096);
+    serializeExecutionKey(m, sink);
+    return std::move(sink.out);
 }
 
 BinaryKey
 binaryKey(const Module &m)
 {
-    BinaryKey key;
-    key.hash = 0xcbf29ce484222325ULL;
-    serializeExecutionKey(m, [&key](const void *p, size_t n) {
-        const unsigned char *bytes = static_cast<const unsigned char *>(p);
-        uint64_t h = key.hash;
-        for (size_t i = 0; i < n; i++)
-            h = (h ^ bytes[i]) * 0x100000001b3ULL;
-        key.hash = h;
-        key.len += n;
-    });
-    return key;
+    HashSink sink;
+    serializeExecutionKey(m, sink);
+    return sink.finish();
 }
 
 std::string
 verifyModule(const Module &m)
 {
+    // Which registers of the current function have a definition.
+    std::vector<uint8_t> defined;
     for (size_t fi = 0; fi < m.functions.size(); fi++) {
         const Function &f = m.functions[fi];
         auto fail = [&](const std::string &why, const Inst *inst) {
@@ -355,6 +462,7 @@ verifyModule(const Module &m)
         };
         if (f.blocks.empty())
             return fail("no blocks", nullptr);
+        defined.assign(f.numRegs, 0);
         for (const BasicBlock &bb : f.blocks) {
             if (bb.insts.empty())
                 return fail("empty block bb" + std::to_string(bb.id),
@@ -377,11 +485,15 @@ verifyModule(const Module &m)
                         return fail("branch target out of range", &inst);
                     }
                 }
-                auto check_val = [&](const Value &v) {
+                // The VM indexes its register file with every one of
+                // these unchecked, the destination included.
+                auto in_range = [&](const Value &v) {
                     return !v.isReg() || v.reg < f.numRegs;
                 };
-                if (!check_val(inst.a) || !check_val(inst.b) ||
-                    !check_val(inst.c))
+                if (inst.dst >= f.numRegs || !in_range(inst.a) ||
+                    !in_range(inst.b) || !in_range(inst.c) ||
+                    !std::all_of(inst.args.begin(), inst.args.end(),
+                                 in_range))
                     return fail("register out of range", &inst);
                 if (inst.op == Opcode::Call &&
                     inst.callee >= m.functions.size())
@@ -394,21 +506,18 @@ verifyModule(const Module &m)
                 if (inst.op == Opcode::GlobalAddr &&
                     inst.object >= m.globals.size())
                     return fail("global out of range", &inst);
+                if (inst.dst)
+                    defined[inst.dst] = 1;
             }
         }
         // Every used register must have a definition somewhere in the
         // function. (Values may flow across blocks when an expression
         // contains short-circuit or ternary sub-expressions, so the
         // check is function-scoped, not block-scoped.)
-        std::unordered_set<uint32_t> defined;
-        for (const BasicBlock &bb : f.blocks)
-            for (const Inst &inst : bb.insts)
-                if (inst.dst)
-                    defined.insert(inst.dst);
         for (const BasicBlock &bb : f.blocks) {
             for (const Inst &inst : bb.insts) {
                 auto check_use = [&](const Value &v) {
-                    return !v.isReg() || defined.count(v.reg) > 0;
+                    return !v.isReg() || defined[v.reg];
                 };
                 if (!check_use(inst.a) || !check_use(inst.b) ||
                     !check_use(inst.c))

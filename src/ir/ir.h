@@ -332,12 +332,16 @@ std::string printModule(const Module &m);
 std::string executionKey(const Module &m);
 
 /**
- * Compact identity of a binary: FNV-1a hash and length of its
- * executionKey. Two modules with equal keys are indistinguishable to
- * the VM under every ExecOptions (same collision-risk tradeoff the
- * corpus dedup makes: a 64-bit hash *and* the serialized length).
- * The batch runner's execution dedup and the VM's code cache both key
- * on this, so one serialization pass serves both.
+ * Compact identity of a binary: a 64-bit hash of its executionKey
+ * serialization and that serialization's length in bytes. The hash
+ * reads the serialization a word at a time as it is produced (four
+ * multiply-fold lanes, see binaryKey), so the multi-KB string is never
+ * built. Two modules have equal keys exactly when their executionKeys
+ * are equal, up to a 64-bit hash collision at equal length (the same
+ * tradeoff the corpus dedup makes). Equal keys are therefore
+ * indistinguishable to the VM under every ExecOptions. The batch
+ * runner's execution dedup and the VM's code cache both key on this,
+ * so one serialization pass serves both.
  */
 struct BinaryKey
 {
@@ -359,9 +363,9 @@ struct BinaryKey
 
 /**
  * Hasher for unordered containers keyed by BinaryKey. The key already
- * carries a 64-bit FNV-1a of the serialized binary, so this just folds
- * the length in (one multiply by the golden-ratio constant) instead of
- * re-hashing anything.
+ * carries a finalized 64-bit hash of the serialized binary, so this
+ * just folds the length in (one multiply by the golden-ratio constant)
+ * instead of re-hashing anything.
  */
 struct BinaryKeyHash
 {
@@ -373,13 +377,24 @@ struct BinaryKeyHash
     }
 };
 
-/** The BinaryKey of @p m (serializes executionKey(m) once). */
+/**
+ * The BinaryKey of @p m: runs executionKey's serializer once into a
+ * hashing sink that allocates nothing. Word i of the serialization
+ * goes to lane i mod 4 through a 64x64->128 multiply folded hi ^ lo;
+ * global-init bytes are read 8 at a time with a length-tagged tail
+ * word; the lanes and the length are folded and finalized at the end.
+ */
 BinaryKey binaryKey(const Module &m);
 
 /**
- * Structural sanity check (register def-before-use inside blocks,
- * terminators present, branch targets valid). @return empty string when
- * the module is well-formed, else a description of the first problem.
+ * Structural sanity check: every block non-empty and ending in its
+ * only terminator, branch targets, callees and frame/global objects in
+ * range, every register the VM indexes (operands, call arguments and
+ * the destination) below the function's numRegs, and every used
+ * register defined somewhere in the function (function-scoped, since
+ * short-circuit and ternary values cross blocks). @return empty string
+ * when the module is well-formed, else a description of the first
+ * problem.
  */
 std::string verifyModule(const Module &m);
 

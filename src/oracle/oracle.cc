@@ -27,14 +27,15 @@ ExecutionPlan::compile(compiler::CompilationCache &cache,
     plan.keys_.reserve(configs.size());
     // Map each binary's execution key to the first outcome that has
     // it: later identical binaries alias their execution to it. Keyed
-    // by ir::BinaryKey — (hash, length) of the serialized key rather
-    // than the multi-KB key itself, the same collision-risk tradeoff
-    // the corpus dedup makes. The keys are retained: run() hands them
-    // to the machine so the VM's code cache reuses this serialization
-    // pass instead of re-walking every module per execution. Unordered
-    // on purpose: the key carries its own FNV-1a hash, and insertion
-    // order (not key order) decides aliasing, so lookup is O(1) with
-    // no ordered full-key compares.
+    // by ir::BinaryKey — a hash and the length of the serialized key,
+    // hashed as it is serialized, rather than the multi-KB key itself:
+    // the same collision-risk tradeoff the corpus dedup makes. The
+    // keys are retained: run() hands them to the machine so the VM's
+    // code cache reuses this serialization pass instead of re-walking
+    // every module per execution. Unordered on purpose: the key
+    // carries its own finalized hash, and insertion order (not key
+    // order) decides aliasing, so lookup is O(1) with no ordered
+    // full-key compares.
     std::unordered_map<ir::BinaryKey, size_t, ir::BinaryKeyHash>
         firstWithKey;
     for (const compiler::CompilerConfig &cfg : configs) {

@@ -26,11 +26,12 @@
  * and checksums are bit-identical (the test_bytecode parity suite
  * enforces this over all nine UB kinds and every dispatch mode).
  *
- * Translations are keyed by ir::BinaryKey — the (hash, length) of the
- * module's executionKey, which covers *everything* the VM reads — so
- * one translation serves every execution of a byte-identical binary:
- * the silent matrix run, the lazy debugger re-execution with tracing,
- * and any later machine that shares the cache.
+ * Translations are keyed by ir::BinaryKey — a word-wise hash and the
+ * length of the module's executionKey serialization, which covers
+ * *everything* the VM reads — so one translation serves every
+ * execution of a byte-identical binary: the silent matrix run, the
+ * lazy debugger re-execution with tracing, and any later machine that
+ * shares the cache.
  */
 
 #ifndef UBFUZZ_VM_BYTECODE_H
@@ -267,9 +268,9 @@ class CodeCache
     size_t maxEntries_;
     size_t capRejects_ = 0;
 
-    /** The key carries its own FNV-1a hash, so the unordered lookup is
-     *  hash-mix + one bucket probe — no O(log n) ordered compares on
-     *  the per-execution hot path. */
+    /** The key carries its own finalized 64-bit hash, so the
+     *  unordered lookup is hash-mix + one bucket probe — no O(log n)
+     *  ordered compares on the per-execution hot path. */
     std::unordered_map<ir::BinaryKey, std::shared_ptr<const bc::Program>,
                        ir::BinaryKeyHash>
         map_;

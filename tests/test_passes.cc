@@ -1,12 +1,16 @@
 /**
  * @file
  * Pass-pipeline tests: the Figure 2 pipeline reproduces pinned
- * binary-key goldens over a standard seed mix, plain and hardened,
- * each hardening family runs once per module, and the hardening passes
- * are silent until a FaultPlan is armed.
+ * execution-key goldens over a standard seed mix, plain and hardened,
+ * binary keys partition that mix exactly as execution keys do, each
+ * hardening family runs once per module, and the hardening passes are
+ * silent until a FaultPlan is armed.
  */
 
 #include <gtest/gtest.h>
+
+#include <map>
+#include <set>
 
 #include "compiler/compiler.h"
 #include "frontend/parser.h"
@@ -52,15 +56,14 @@ standardConfigs()
 }
 
 /**
- * A standard seed mix — the generator's own programs, swept over every
- * standardConfigs() entry, each built under every mask in @p masks —
- * folded into one FNV-1a over the (hash, length) of every binary's
- * ir::binaryKey.
+ * Call @p fn on every binary of a standard seed mix: the generator's
+ * own programs (seeds 1-6), swept over every standardConfigs() entry,
+ * each built under every mask in @p masks.
  */
-uint64_t
-pinnedKeyDigest(std::initializer_list<uint32_t> masks)
+template <typename Fn>
+void
+forEachStandardBinary(std::initializer_list<uint32_t> masks, Fn &&fn)
 {
-    support::ByteWriter keys;
     for (uint64_t seed = 1; seed <= 6; seed++) {
         gen::GeneratorConfig gc;
         gc.seed = seed;
@@ -69,13 +72,27 @@ pinnedKeyDigest(std::initializer_list<uint32_t> masks)
         for (CompilerConfig c : standardConfigs()) {
             for (uint32_t mask : masks) {
                 c.harden = mask;
-                ir::BinaryKey key = ir::binaryKey(
-                    compiler::compile(*prog, printed, c).module);
-                keys.u64(key.hash);
-                keys.u64(key.len);
+                fn(compiler::compile(*prog, printed, c).module);
             }
         }
     }
+}
+
+/**
+ * The standard seed mix under @p masks, folded into one FNV-1a over
+ * the (FNV-1a, length) of every binary's ir::executionKey. The goldens
+ * pin the serialization itself, independent of how ir::binaryKey
+ * hashes it.
+ */
+uint64_t
+pinnedKeyDigest(std::initializer_list<uint32_t> masks)
+{
+    support::ByteWriter keys;
+    forEachStandardBinary(masks, [&keys](const ir::Module &m) {
+        std::string key = ir::executionKey(m);
+        keys.u64(support::fnv1a(key));
+        keys.u64(key.size());
+    });
     return support::fnv1a(keys.data());
 }
 
@@ -98,6 +115,35 @@ TEST(Passes, HardenedPipelinesMatchPinnedKeys)
                                harden::kCfgSignature,
                                harden::kAllFamilies}),
               0xe42b69d37eacaec9ULL);
+}
+
+TEST(Passes, BinaryKeysPartitionLikeExecutionKeys)
+{
+    // ir::binaryKey hashes the executionKey serialization without
+    // building it. Over the pinned sweep, plain and hardened, two
+    // binaries share a BinaryKey exactly when they share an
+    // executionKey, and the key's length is the serialization's size.
+    std::map<std::string, ir::BinaryKey> keyOf;
+    size_t binaries = 0;
+    forEachStandardBinary(
+        {0, harden::kDuplicateCompare, harden::kCfgSignature,
+         harden::kAllFamilies},
+        [&](const ir::Module &m) {
+            binaries++;
+            std::string exec = ir::executionKey(m);
+            ir::BinaryKey key = ir::binaryKey(m);
+            EXPECT_EQ(key.len, exec.size());
+            auto [it, inserted] = keyOf.emplace(std::move(exec), key);
+            if (!inserted)
+                EXPECT_EQ(it->second, key);
+        });
+    std::set<ir::BinaryKey> distinct;
+    for (const auto &[exec, key] : keyOf)
+        distinct.insert(key);
+    EXPECT_EQ(distinct.size(), keyOf.size());
+    // The sweep must contain both kinds of pair to test either half.
+    EXPECT_LT(keyOf.size(), binaries);
+    EXPECT_GT(keyOf.size(), 1u);
 }
 
 TEST(Passes, HardenedModuleRecordsItsFamilies)

@@ -1,10 +1,15 @@
 /**
  * @file
  * Lowering + VM execution semantics: arithmetic, control flow, memory,
- * traps, ground-truth UB detection, and execution tracing.
+ * traps, ground-truth UB detection, and execution tracing; plus the
+ * execution keys that let a batch skip identical binaries and the
+ * module verifier's rejection rules.
  */
 
 #include <gtest/gtest.h>
+
+#include <functional>
+#include <stdexcept>
 
 #include "ast/printer.h"
 #include "frontend/parser.h"
@@ -598,11 +603,31 @@ TEST(MachineReuse, ReferenceInterpreterAgreesAfterBytecodeRuns)
 // Execution keys (what lets a batch skip identical binaries)
 //===--------------------------------------------------------------===//
 
+/** Both identities agree that @p a and @p b are the same binary, and
+ *  each BinaryKey's length is its executionKey's size. */
+void
+expectSameKeys(const ir::Module &a, const ir::Module &b)
+{
+    EXPECT_EQ(ir::executionKey(a), ir::executionKey(b));
+    EXPECT_EQ(ir::binaryKey(a), ir::binaryKey(b));
+    EXPECT_EQ(ir::binaryKey(a).len, ir::executionKey(a).size());
+}
+
+/** Both identities tell @p a and @p b apart. */
+void
+expectDifferentKeys(const ir::Module &a, const ir::Module &b)
+{
+    EXPECT_NE(ir::executionKey(a), ir::executionKey(b));
+    EXPECT_NE(ir::binaryKey(a), ir::binaryKey(b));
+    EXPECT_EQ(ir::binaryKey(a).len, ir::executionKey(a).size());
+    EXPECT_EQ(ir::binaryKey(b).len, ir::executionKey(b).size());
+}
+
 TEST(ExecutionKey, IdenticalModulesShareAKey)
 {
     ir::Module a = lowerSource("int main(void) { return 4; }");
     ir::Module b = lowerSource("int main(void) { return 4; }");
-    EXPECT_EQ(ir::executionKey(a), ir::executionKey(b));
+    expectSameKeys(a, b);
 }
 
 TEST(ExecutionKey, BehavioralFlagsChangeTheKey)
@@ -613,17 +638,129 @@ TEST(ExecutionKey, BehavioralFlagsChangeTheKey)
     ir::Module a = lowerSource("int main(void) { int x; return x * 0; }");
     ir::Module b = lowerSource("int main(void) { int x; return x * 0; }");
     b.msan.enabled = true;
-    EXPECT_NE(ir::executionKey(a), ir::executionKey(b));
+    expectDifferentKeys(a, b);
     ir::Module c = lowerSource("int main(void) { int x; return x * 0; }");
     c.asanHeap = true;
-    EXPECT_NE(ir::executionKey(a), ir::executionKey(c));
+    expectDifferentKeys(a, c);
 }
 
 TEST(ExecutionKey, GlobalInitBytesChangeTheKey)
 {
     ir::Module a = lowerSource("int g = 1;\nint main(void) { return g; }");
     ir::Module b = lowerSource("int g = 2;\nint main(void) { return g; }");
-    EXPECT_NE(ir::executionKey(a), ir::executionKey(b));
+    expectDifferentKeys(a, b);
+}
+
+TEST(ExecutionKey, LastByteOfAPartialInitWordChangesTheKey)
+{
+    // binaryKey reads init bytes 8 at a time; the 1-7 bytes past the
+    // last whole word go through the tail path and must still count.
+    for (size_t size : {1u, 7u, 9u, 13u, 15u}) {
+        ir::Module a = lowerSource("int main(void) { return 0; }");
+        ir::GlobalObject g;
+        g.size = size;
+        g.init.assign(size, 0x5a);
+        a.globals.push_back(g);
+        ir::Module b = a;
+        b.globals.back().init.back() ^= 1;
+        SCOPED_TRACE(size);
+        expectDifferentKeys(a, b);
+        expectSameKeys(a, ir::Module(a));
+    }
+}
+
+//===--------------------------------------------------------------===//
+// Module verifier (the post-compile structural check)
+//===--------------------------------------------------------------===//
+
+TEST(VerifyModule, RejectsOneMalformedModulePerRule)
+{
+    // A well-formed base whose main has a call, a frame object and a
+    // global, so every rule has an instruction in main to break.
+    const ir::Module base = lowerSource(R"(int g;
+int f(int x) { return x; }
+int main(void) { int y = f(g); return y; }
+)");
+    ASSERT_EQ(ir::verifyModule(base), "");
+
+    auto mainOf = [](ir::Module &m) -> ir::Function & {
+        return m.functions.at(m.mainIndex);
+    };
+    /** main's first instruction of opcode @p op. */
+    auto inst = [&](ir::Module &m, ir::Opcode op) -> ir::Inst & {
+        for (ir::BasicBlock &bb : mainOf(m).blocks)
+            for (ir::Inst &i : bb.insts)
+                if (i.op == op)
+                    return i;
+        throw std::logic_error(std::string("no ") + ir::opcodeName(op) +
+                               " in main");
+    };
+    auto reg = [](uint32_t r) { return ir::Value::makeReg(r); };
+
+    struct Case
+    {
+        const char *rule;
+        std::function<void(ir::Module &)> breakIt;
+    };
+    const std::vector<Case> cases = {
+        {"no blocks", [&](ir::Module &m) { mainOf(m).blocks.clear(); }},
+        {"empty block",
+         [&](ir::Module &m) { mainOf(m).blocks[0].insts.clear(); }},
+        {"terminator placement",
+         [&](ir::Module &m) { mainOf(m).blocks[0].insts.pop_back(); }},
+        {"branch target out of range",
+         [&](ir::Module &m) {
+             ir::Inst br;
+             br.op = ir::Opcode::Br;
+             br.targets[0] = static_cast<uint32_t>(mainOf(m).blocks.size());
+             mainOf(m).blocks[0].insts.back() = br;
+         }},
+        {"register out of range",
+         [&](ir::Module &m) {
+             inst(m, ir::Opcode::Ret).a = reg(mainOf(m).numRegs);
+         }},
+        {"register out of range",
+         [&](ir::Module &m) {
+             inst(m, ir::Opcode::Call).dst = mainOf(m).numRegs;
+         }},
+        {"register out of range",
+         [&](ir::Module &m) {
+             inst(m, ir::Opcode::Call).args.push_back(
+                 reg(mainOf(m).numRegs + 5));
+         }},
+        {"callee out of range",
+         [&](ir::Module &m) {
+             inst(m, ir::Opcode::Call).callee =
+                 static_cast<uint32_t>(m.functions.size());
+         }},
+        {"frame object out of range",
+         [&](ir::Module &m) {
+             inst(m, ir::Opcode::FrameAddr).object =
+                 static_cast<uint32_t>(mainOf(m).frame.size());
+         }},
+        {"global out of range",
+         [&](ir::Module &m) {
+             inst(m, ir::Opcode::GlobalAddr).object =
+                 static_cast<uint32_t>(m.globals.size());
+         }},
+        {"use of undefined register",
+         [&](ir::Module &m) {
+             inst(m, ir::Opcode::Ret).a = reg(mainOf(m).newReg());
+         }},
+        {"use of undefined arg register",
+         [&](ir::Module &m) {
+             inst(m, ir::Opcode::Call).args.push_back(
+                 reg(mainOf(m).newReg()));
+         }},
+    };
+    for (const Case &c : cases) {
+        ir::Module m = base;
+        c.breakIt(m);
+        std::string err = ir::verifyModule(m);
+        EXPECT_NE(err.find(c.rule), std::string::npos)
+            << "want \"" << c.rule << "\", got \"" << err << "\"\n"
+            << ir::printModule(m);
+    }
 }
 
 } // namespace
