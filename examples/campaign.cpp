@@ -312,6 +312,9 @@ main(int argc, char **argv)
             }
             cfg.failureInjection = *inj;
             sawSupervisionFlag = "--inject";
+        } else if (argv[i][0] == '-') {
+            std::fprintf(stderr, "unknown flag '%s'\n", argv[i]);
+            return 2;
         } else if (positional == 0) {
             cfg.numSeeds = parseIntArg("numSeeds", argv[i], 1);
             positional++;
@@ -329,6 +332,9 @@ main(int argc, char **argv)
             }
             cfg.source = *mode;
             positional++;
+        } else {
+            std::fprintf(stderr, "unexpected argument '%s'\n", argv[i]);
+            return 2;
         }
     }
     if (resume && storeDir.empty()) {

@@ -235,25 +235,6 @@ ASTContext::registerId(uint32_t id, NodeIndex idx)
     idToIndex_[id] = idx;
 }
 
-uint64_t
-ASTContext::hashNodeRange(NodeIndex begin, NodeIndex end) const
-{
-    UBF_ASSERT(begin <= end && end <= numNodes_, "bad hash range");
-    uint64_t h = 0xcbf29ce484222325ull;
-    auto mix = [&h](const char *p, size_t n) {
-        for (size_t i = 0; i < n; i++) {
-            h ^= static_cast<unsigned char>(p[i]);
-            h *= 0x100000001b3ull;
-        }
-    };
-    for (NodeIndex i = begin; i < end; i++) {
-        const char *p = slot(i);
-        mix(p, kCtxByte);
-        mix(p + kCtxByteEnd, kSlotBytes - kCtxByteEnd);
-    }
-    return h;
-}
-
 void
 ASTContext::copyFrom(const ASTContext &src)
 {

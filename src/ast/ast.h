@@ -15,11 +15,9 @@
  * (offset, length) ranges into a shared index pool, and names as ranges
  * into a shared string pool. Node slots are therefore trivially
  * copyable: cloneProgram is a chunk memcpy plus a context-pointer
- * patch, and an AST-subtree fingerprint is a hash over a contiguous
- * slot range (ASTContext::hashNodeRange). The accessors still traffic
- * in node pointers — arena chunks never move, so `Node *` is stable
- * within one program — which keeps every consumer written against the
- * pointer API working unchanged.
+ * patch. The accessors still traffic in node pointers — arena chunks
+ * never move, so `Node *` is stable within one program — which keeps
+ * every consumer written against the pointer API working unchanged.
  */
 
 #ifndef UBFUZZ_AST_AST_H
@@ -72,11 +70,10 @@ enum class NodeKind : uint8_t {
 };
 
 /**
- * Base of every AST node: a 24-byte header. The context pointer sits
- * alone in bytes [16, 24) so hashNodeRange can hash everything else —
- * kind, nodeId, arena index, and the whole derived payload (which
- * starts at byte 24) — while skipping the one field that legitimately
- * differs between a program and its memcpy clone.
+ * Base of every AST node: a 24-byte header (kind, nodeId, arena index,
+ * context pointer); the derived payload starts at byte 24. The context
+ * pointer is the one field that differs between a program and its
+ * memcpy clone (ASTContext::copyFrom patches it).
  */
 class Node
 {
@@ -783,10 +780,6 @@ class ASTContext
     static constexpr uint32_t kChunkShift = 10; ///< 1024 slots per chunk
     static constexpr uint32_t kChunkSlots = 1u << kChunkShift;
     static constexpr uint32_t kChunkMask = kChunkSlots - 1;
-    /** Byte range [kCtxByte, kCtxByteEnd) of the Node ctx pointer —
-     *  the slice hashNodeRange skips. */
-    static constexpr uint32_t kCtxByte = 16;
-    static constexpr uint32_t kCtxByteEnd = 24;
 
     ASTContext() : types_(this) {}
     ~ASTContext();
@@ -803,17 +796,6 @@ class ASTContext
     make(Args &&...args)
     {
         return construct<T>(nextId_++, std::forward<Args>(args)...);
-    }
-
-    /** Allocate a node with a specific nodeId; panics if the id is
-     *  already taken. */
-    template <typename T, typename... Args>
-    T *
-    makeWithId(uint32_t id, Args &&...args)
-    {
-        if (id >= nextId_)
-            nextId_ = id + 1;
-        return construct<T>(id, std::forward<Args>(args)...);
     }
 
     /** Number of nodes allocated so far (== one past the last index). */
@@ -834,15 +816,6 @@ class ASTContext
             return nullptr;
         return nodeAt(idToIndex_[id]);
     }
-
-    /**
-     * FNV-1a hash of the slot range [begin, end): every header and
-     * payload byte except the per-slot context pointer. Two ranges
-     * hash equal iff the nodes are bit-identical — kinds, nodeIds,
-     * arena indices, child/cross-reference indices, TypeRefs, list
-     * ranges, name ranges, literal values, operators.
-     */
-    uint64_t hashNodeRange(NodeIndex begin, NodeIndex end) const;
 
     /**
      * Become a node-for-node copy of @p src: memcpy the chunks, patch
@@ -886,8 +859,8 @@ class ASTContext
         if ((idx >> kChunkShift) >= chunks_.size())
             chunks_.push_back(new char[kSlotBytes * kChunkSlots]);
         char *p = slot(idx);
-        // Zero the slot first: padding bytes become deterministic, so
-        // hashNodeRange can hash raw slot bytes.
+        // Zero the slot first, so padding bytes are deterministic
+        // rather than leftover heap contents.
         std::memset(p, 0, kSlotBytes);
         T *n = new (p) T(this, id, std::forward<Args>(args)...);
         static_cast<Node *>(n)->index_ = idx;

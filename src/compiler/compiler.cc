@@ -131,40 +131,18 @@ CompilationCache::adoptBase(ir::Module base)
 
 SeedLoweringCache::SeedLoweringCache(const ast::Program &base,
                                      CompileStats *stats)
-    : printed_(ast::printProgram(base))
+    : base_(lowerOnce(base, ast::printProgram(base), stats))
 {
-    if (stats)
-        stats->lowerings++;
-    base_ = ir::lowerProgram(base, printed_.map, &info_);
 }
 
 ir::Module
 SeedLoweringCache::lowerDerived(const ast::Program &derived,
                                 const ast::PrintedProgram &printedDerived,
-                                uint32_t perturbedFnId,
+                                uint32_t /*perturbedFnId*/,
                                 CompileStats *stats)
 {
-    if (perturbedFnId != 0) {
-        ir::IncrementalStats inc;
-        ir::Module m = ir::lowerProgramIncremental(
-            derived, printedDerived.map, base_, info_, printed_.map,
-            perturbedFnId, &inc);
-        if (inc.splicedFunctions > 0 || inc.copiedStmts > 0) {
-            if (stats)
-                stats->deltaLowerings++;
-            return m;
-        }
-        // Nothing could be reused: a full lowering in disguise.
-        if (stats) {
-            stats->lowerings++;
-            stats->deltaFallbacks++;
-        }
-        return m;
-    }
-    if (stats) {
-        stats->lowerings++;
-        stats->deltaFallbacks++;
-    }
+    if (stats)
+        stats->deltaLowerings++;
     return ir::lowerProgram(derived, printedDerived.map);
 }
 

@@ -88,23 +88,20 @@ struct Binary
  */
 struct CompileStats
 {
-    /** Full ir::lowerProgram executions (AST -> IR). With the
-     *  seed-level cache, one per seed base program plus one per
-     *  incremental fallback. */
+    /**
+     * Full lowerings of a seed base (SeedLoweringCache) or of a
+     * directly classified program (NoSafe, Juliet). A campaign does
+     * one per productive seed: `lowerings == productive seeds`.
+     */
     size_t lowerings = 0;
     /**
-     * Incremental lowerings: derived UB programs whose module was
-     * built by splicing the seed's base module (only the perturbed
-     * function re-lowered). Each of these was a full lowering before
-     * the seed-level cache.
+     * Full lowerings of derived programs (UB programs and MUSIC
+     * mutants, through SeedLoweringCache::lowerDerived), one each,
+     * counted apart from `lowerings` so that identity stays per seed.
      */
     size_t deltaLowerings = 0;
-    /**
-     * Derived programs that fell back to a full from-scratch lowering
-     * (no perturbed-site handle, or no function passed the splice
-     * proof). Fallbacks also count in `lowerings`, so the seed-cache
-     * invariant is `lowerings == base programs + deltaFallbacks`.
-     */
+    /** Always 0: derived programs no longer have a cheaper path to
+     *  fall back from. Kept because the serialized stats carry it. */
     size_t deltaFallbacks = 0;
     /** Early-optimizer pipeline executions. */
     size_t earlyOptRuns = 0;
@@ -257,42 +254,24 @@ class CompilationCache
 };
 
 /**
- * The seed-level lowering cache, one layer above CompilationCache: a
- * campaign derives ~8-25 UB programs from one seed by perturbing a
- * single function and appending auxiliary globals, so the seed's clean
- * base program is lowered once (with splice provenance) and every
- * derived program is lowered incrementally from it — the unperturbed
- * functions' IR is spliced with shifted debug locations, only the
- * perturbed function and the globals are rebuilt. The result is always
- * bit-identical to a from-scratch lowering (identical
- * ir::executionKey); a derived program that cannot be proven splicable
- * transparently falls back to `lowerOnce` and is counted in
- * CompileStats::deltaFallbacks.
- *
- * Not thread-safe; one per campaign unit (seed), like CompilationCache
- * — which keeps `--jobs N` bit-identical to a sequential run.
+ * A seed's clean base module, lowered eagerly once per productive
+ * seed; harden mode's fault oracle specializes it. The programs a
+ * campaign derives from the seed (UB programs, MUSIC mutants) are
+ * lowered from scratch through lowerDerived, which counts them.
  */
 class SeedLoweringCache
 {
   public:
-    /** Print and lower @p base (the seed's clean program) eagerly;
-     *  counts one lowering in @p stats. The cache keeps no reference
-     *  to @p base afterwards. */
+    /** Print and lower @p base (the seed's clean program); counts one
+     *  lowering in @p stats. Keeps no reference to @p base. */
     explicit SeedLoweringCache(const ast::Program &base,
                                CompileStats *stats = nullptr);
 
     SeedLoweringCache(const SeedLoweringCache &) = delete;
     SeedLoweringCache &operator=(const SeedLoweringCache &) = delete;
 
-    /**
-     * Lower @p derived — a node-id-preserving clone of the base
-     * program with perturbations confined to the function with decl
-     * node id @p perturbedFnId (0 = unknown) — against
-     * @p printedDerived. Splices every provably unperturbed function
-     * from the base module; falls back to a full lowering when nothing
-     * can be spliced. Counts a deltaLowering or a lowering +
-     * deltaFallback in @p stats accordingly.
-     */
+    /** ir::lowerProgram(@p derived, @p printedDerived.map), counted as
+     *  one deltaLowering in @p stats. @p perturbedFnId is unused. */
     ir::Module lowerDerived(const ast::Program &derived,
                             const ast::PrintedProgram &printedDerived,
                             uint32_t perturbedFnId,
@@ -301,13 +280,8 @@ class SeedLoweringCache
     /** The seed's clean base module (lowered in the constructor). */
     const ir::Module &baseModule() const { return base_; }
 
-    /** The seed's printing the base module was lowered against. */
-    const ast::PrintedProgram &basePrinted() const { return printed_; }
-
   private:
-    ast::PrintedProgram printed_;
     ir::Module base_;
-    ir::LoweringInfo info_;
 };
 
 } // namespace ubfuzz::compiler

@@ -260,18 +260,17 @@ class Campaign
                 break;
             }
             auto programs = ubg.generateAll(rng, cfg_.capPerKind);
-            // Lower the clean seed once; every derived UB program
-            // below perturbs a single function of it, so its module is
-            // built incrementally from this base instead of from
-            // scratch — and is then reused for both the ground-truth
-            // validation run and the whole testing matrix.
-            // Deliberately eager (even for the rare seed with zero
-            // derived programs): one base per productive seed is what
-            // makes `lowerings == productive seeds + fallbacks` an
-            // invariant CI can assert against an independent quantity.
+            // Lower the clean seed once, eagerly (even for the rare
+            // seed with zero derived programs): one base per
+            // productive seed is what makes `lowerings == productive
+            // seeds` an invariant CI can assert against an independent
+            // quantity. Harden mode's fault oracle specializes it.
             compiler::SeedLoweringCache seedCache(*seed,
                                                   &stats_.compile);
             for (auto &ub : programs) {
+                // Print once, lower once: the module serves both the
+                // ground-truth validation run and, adopted by the
+                // item's CompilationCache, the whole testing matrix.
                 ast::PrintedProgram printed =
                     ast::printProgram(*ub.program);
                 ir::Module mod = seedCache.lowerDerived(
@@ -303,12 +302,8 @@ class Campaign
           case SourceMode::Music: {
             gc.safeMath = true;
             auto seed = gen::generateProgram(gc);
-            // Every MUSIC mutant is a single-site perturbation of one
-            // function of the cloned seed, so the seed-level cache
-            // applies exactly as in UBFuzz mode: lower the clean seed
-            // once, splice every unperturbed function into each
-            // mutant's module, re-lower only the mutated one (the PR 4
-            // follow-up). musicMutate reports the perturbed function.
+            // Same accounting as UBFuzz mode: one base lowering per
+            // seed, one derived lowering per mutant.
             compiler::SeedLoweringCache seedCache(*seed,
                                                   &stats_.compile);
             for (int m = 0; m < cfg_.mutantsPerSeed; m++) {
@@ -436,10 +431,10 @@ class Campaign
     vm::Machine classifyMachine_{&codeCache_};
 
     /** Ground-truth classify a baseline program, then test if UB.
-     *  Lowers from scratch — for sources with no seed base to lower
-     *  incrementally from (one generated program per NoSafe seed, the
-     *  fixed Juliet cases); Music mutants come through
-     *  classifyAndTestLowered with their incremental module. */
+     *  For sources with no seed base (one generated program per NoSafe
+     *  seed, the fixed Juliet cases), so their one lowering counts in
+     *  `lowerings`; Music mutants come through classifyAndTestLowered
+     *  with the module lowerDerived built. */
     void
     classifyAndTest(std::unique_ptr<ast::Program> prog)
     {
@@ -451,8 +446,8 @@ class Campaign
     }
 
     /** The classify tail for callers that already printed and lowered
-     *  the program (incrementally or not): one ground-truth run
-     *  through the unit's classifier machine, then the full matrix. */
+     *  the program: one ground-truth run through the unit's classifier
+     *  machine, then the full matrix. */
     void
     classifyAndTestLowered(std::unique_ptr<ast::Program> prog,
                            ast::PrintedProgram printed, ir::Module mod)
@@ -783,12 +778,10 @@ statsInvariantViolation(const CampaignStats &s)
                " != " + std::to_string(rhs);
     };
     // One base lowering per productive seed (or per classified
-    // baseline program), plus one for every incremental fallback.
-    if (s.compile.lowerings !=
-        s.productiveSeeds() + s.compile.deltaFallbacks) {
-        return mismatch("lowerings != productive seeds + fallbacks",
-                        s.compile.lowerings,
-                        s.productiveSeeds() + s.compile.deltaFallbacks);
+    // baseline program); derived programs count in deltaLowerings.
+    if (s.compile.lowerings != s.productiveSeeds()) {
+        return mismatch("lowerings != productive seeds",
+                        s.compile.lowerings, s.productiveSeeds());
     }
     // Every interpreted execution resolves through a CodeCache exactly
     // once: a flattening or a hit, never both, never neither.

@@ -529,7 +529,7 @@ uint64_t findingsDigest(const CampaignStats &stats);
  * Check the cross-layer accounting invariants that must survive any
  * combination of journal replay, resume, and shard merge (they are
  * per-unit identities, so any in-order fold of unit deltas preserves
- * them): `lowerings == productive seeds + delta fallbacks`,
+ * them): `lowerings == productive seeds`,
  * `executions == translations + translation hits`, and
  * `machines built + corpus replays == ub programs + hardened fault
  * programs`. Returns an empty

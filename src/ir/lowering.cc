@@ -1,8 +1,6 @@
 #include "ir/lowering.h"
 
-#include <optional>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "ast/typing.h"
 
@@ -28,167 +26,11 @@ struct RV
     ScalarKind kind = ScalarKind::S64;
 };
 
-/**
- * Computes a SubtreeFingerprint: walks a subtree once to find the
- * [min, max] arena-index span of its nodes, then hashes the raw slot
- * bytes of that range (ASTContext::hashNodeRange). The walk recurses
- * only into *owned* children — statements, expressions, parameters,
- * declaration initializers. Cross-references (a VarRef's decl, a
- * Call's callee, a Member's field) are NOT recursed: their arena
- * indices sit in the referencing node's own slot bytes, so the hash
- * already pins them, and chasing them would balloon the span to
- * wherever the declaration lives. The walk runs once per *recorded*
- * subtree (seed-side); verification on a derived clone is a pure
- * range re-hash with no walk at all.
- */
-class SubtreeSpan
-{
-  public:
-    SubtreeFingerprint
-    run(const FunctionDecl *f)
-    {
-        touch(f);
-        for (const VarDecl *p : f->params())
-            walkVarDecl(p);
-        if (f->body())
-            walkStmt(f->body());
-        return finish(f->ctx());
-    }
-
-    SubtreeFingerprint
-    runStmt(const Stmt *s)
-    {
-        walkStmt(s);
-        return finish(s->ctx());
-    }
-
-  private:
-    NodeIndex lo_ = ast::kNullNode;
-    NodeIndex hi_ = 0;
-
-    void
-    touch(const Node *n)
-    {
-        NodeIndex i = n->arenaIndex();
-        if (i < lo_)
-            lo_ = i;
-        if (i > hi_)
-            hi_ = i;
-    }
-
-    SubtreeFingerprint
-    finish(const ASTContext &ctx) const
-    {
-        UBF_ASSERT(lo_ != ast::kNullNode, "empty subtree span");
-        SubtreeFingerprint fp;
-        fp.begin = lo_;
-        fp.end = hi_ + 1;
-        fp.hash = ctx.hashNodeRange(fp.begin, fp.end);
-        return fp;
-    }
-
-    void
-    walkExpr(const Expr *e)
-    {
-        touch(e);
-        forEachChildExpr(const_cast<Expr *>(e),
-                         [&](Expr *c) { walkExpr(c); });
-    }
-
-    void
-    walkVarDecl(const VarDecl *v)
-    {
-        touch(v);
-        if (v->init())
-            walkExpr(v->init());
-    }
-
-    void
-    walkStmt(const Stmt *s)
-    {
-        touch(s);
-        switch (s->kind()) {
-          case NodeKind::Block:
-            for (const Stmt *c : s->as<Block>()->stmts())
-                walkStmt(c);
-            break;
-          case NodeKind::DeclStmt:
-            walkVarDecl(s->as<DeclStmt>()->var());
-            break;
-          case NodeKind::AssignStmt: {
-            auto *a = s->as<AssignStmt>();
-            walkExpr(a->lhs());
-            walkExpr(a->rhs());
-            break;
-          }
-          case NodeKind::ExprStmt:
-            walkExpr(s->as<ExprStmt>()->expr());
-            break;
-          case NodeKind::IfStmt: {
-            auto *i = s->as<IfStmt>();
-            walkExpr(i->cond());
-            walkStmt(i->thenBlock());
-            if (i->elseBlock())
-                walkStmt(i->elseBlock());
-            break;
-          }
-          case NodeKind::WhileStmt:
-            walkExpr(s->as<WhileStmt>()->cond());
-            walkStmt(s->as<WhileStmt>()->body());
-            break;
-          case NodeKind::ForStmt: {
-            auto *f = s->as<ForStmt>();
-            if (f->init())
-                walkStmt(f->init());
-            if (f->cond())
-                walkExpr(f->cond());
-            if (f->step())
-                walkStmt(f->step());
-            walkStmt(f->body());
-            break;
-          }
-          case NodeKind::ReturnStmt:
-            if (s->as<ReturnStmt>()->value())
-                walkExpr(s->as<ReturnStmt>()->value());
-            break;
-          case NodeKind::BreakStmt:
-          case NodeKind::ContinueStmt:
-            break;
-          default:
-            UBF_PANIC("subtree span: unhandled statement");
-        }
-    }
-};
-
-/** Base-module reuse inputs of one incremental lowering. */
-struct ReusePlan
-{
-    const Module *base = nullptr;
-    const LoweringInfo *info = nullptr;
-    const SourceMap *baseMap = nullptr;
-    uint32_t perturbedFnId = 0;
-    IncrementalStats *stats = nullptr;
-};
-
-/** Statement-level reuse context for one re-lowered function. */
-struct StmtReuseCtx
-{
-    const Function *baseFn = nullptr;
-    const FunctionLoweringInfo *info = nullptr;
-    IncrementalStats *stats = nullptr;
-};
-
 class Lowerer
 {
   public:
-    Lowerer(const Program &p, const SourceMap &map,
-            LoweringInfo *record = nullptr,
-            const ReusePlan *reuse = nullptr)
-        : prog_(p), map_(map), record_(record), reuse_(reuse)
+    Lowerer(const Program &p, const SourceMap &map) : prog_(p), map_(map)
     {
-        UBF_ASSERT(!(record_ && reuse_),
-                   "recording provenance of a spliced module would "
-                   "leave gaps; lower from scratch to record");
     }
 
     Module
@@ -205,41 +47,8 @@ class Lowerer
             funcIndex_[f] = static_cast<uint32_t>(module_.functions.size());
             module_.functions.push_back(std::move(fn));
         }
-        const auto &funcs = prog_.functions();
-        for (size_t i = 0; i < funcs.size(); i++) {
-            if (reuse_ && trySplice(i, funcs[i])) {
-                if (reuse_->stats)
-                    reuse_->stats->splicedFunctions++;
-                continue;
-            }
-            // Whole-function reuse is off the table (this is the
-            // perturbed function, or the proof failed); fall back to
-            // statement-level replay if base provenance lines up.
-            StmtReuseCtx stmtCtx;
-            if (reuse_ && i < reuse_->base->functions.size() &&
-                i < reuse_->info->functions.size() &&
-                reuse_->info->functions[i].declId == funcs[i]->nodeId()) {
-                stmtCtx.baseFn = &reuse_->base->functions[i];
-                stmtCtx.info = &reuse_->info->functions[i];
-                stmtCtx.stats = reuse_->stats;
-                stmtReuse_ = &stmtCtx;
-            }
-            if (reuse_ && reuse_->stats)
-                reuse_->stats->reloweredFunctions++;
-            if (record_) {
-                record_->functions.emplace_back();
-                curInfo_ = &record_->functions.back();
-                curInfo_->declId = funcs[i]->nodeId();
-                curInfo_->astFingerprint = SubtreeSpan().run(funcs[i]);
-            }
-            lowerFunction(funcs[i]);
-            stmtReuse_ = nullptr;
-            if (curInfo_) {
-                curInfo_->setOwnLoc = ownLocSet_;
-                curInfo_->endLoc = curLoc_;
-                curInfo_ = nullptr;
-            }
-        }
+        for (const FunctionDecl *f : prog_.functions())
+            lowerFunction(f);
         if (prog_.main())
             module_.mainIndex =
                 static_cast<int32_t>(funcIndex_.at(prog_.main()));
@@ -435,91 +244,14 @@ class Lowerer
     Function *fn_ = nullptr;
     uint32_t curBlock_ = 0;
     SourceLoc curLoc_;
-    /** Has the current function set curLoc_ itself? Until it does,
-     *  emitted fallback locations are inherited from the previous
-     *  function and must be re-stamped by a splicer. */
-    bool ownLocSet_ = false;
-    /** Count of successful setLoc calls — lets the statement memo tell
-     *  "this statement moved the cursor" apart from "it left the
-     *  cursor exactly where it already was". */
-    uint64_t locSeq_ = 0;
     std::vector<uint32_t> breakTargets_;
     std::vector<uint32_t> continueTargets_;
-
-    /**
-     * Splice base IR for function @p i instead of lowering it, when the
-     * per-function proof holds (see lowerProgramIncremental). Patches
-     * debug locations — uniform line shift for function-own ones, the
-     * live cursor for inherited ones — and advances curLoc_ exactly as
-     * lowering the function would have.
-     */
-    bool
-    trySplice(size_t i, const FunctionDecl *f)
-    {
-        const Module &base = *reuse_->base;
-        const LoweringInfo &binfo = *reuse_->info;
-        if (i >= base.functions.size() || i >= binfo.functions.size())
-            return false;
-        const FunctionLoweringInfo &fi = binfo.functions[i];
-        if (fi.declId != f->nodeId() ||
-            f->nodeId() == reuse_->perturbedFnId)
-            return false;
-        // Pure range re-hash: the memcpy clone preserved arena indices
-        // and slot bytes, so no tree walk is needed to prove the
-        // function unperturbed.
-        if (!fi.astFingerprint.matches(prog_.ctx(), f))
-            return false;
-        // Every location the base lowering consumed must reappear in
-        // the derived printing at the same intra-line offset, shifted
-        // by one uniform line delta.
-        int32_t delta = 0;
-        bool have_delta = false;
-        for (uint32_t id : fi.locDeps) {
-            SourceLoc b = reuse_->baseMap->loc(id);
-            SourceLoc d = map_.loc(id);
-            if (b.isValid() != d.isValid())
-                return false;
-            if (!b.isValid())
-                continue;
-            if (d.offset != b.offset)
-                return false;
-            if (!have_delta) {
-                delta = d.line - b.line;
-                have_delta = true;
-            } else if (d.line - b.line != delta) {
-                return false;
-            }
-        }
-        Function fn = base.functions[i];
-        std::unordered_set<uint64_t> inherited;
-        for (auto [bb, idx] : fi.inheritedLocInsts)
-            inherited.insert((static_cast<uint64_t>(bb) << 32) | idx);
-        for (BasicBlock &bb : fn.blocks) {
-            for (size_t k = 0; k < bb.insts.size(); k++) {
-                Inst &inst = bb.insts[k];
-                if (!inherited.empty() &&
-                    inherited.count(
-                        (static_cast<uint64_t>(bb.id) << 32) | k)) {
-                    inst.loc = curLoc_;
-                } else if (inst.loc.isValid()) {
-                    inst.loc.line += delta;
-                }
-            }
-        }
-        module_.functions[i] = std::move(fn);
-        if (fi.setOwnLoc)
-            curLoc_ = SourceLoc{fi.endLoc.line + delta, fi.endLoc.offset};
-        return true;
-    }
 
     void
     lowerFunction(const FunctionDecl *f)
     {
         fn_ = &module_.functions[funcIndex_.at(f)];
         localIndex_.clear();
-        clearDeclIndex();
-        ownLocSet_ = false;
-        depSet_.clear();
         // Parameters occupy the first frame slots.
         for (const VarDecl *p : f->params()) {
             FrameObject obj;
@@ -529,7 +261,6 @@ class Lowerer
             obj.declId = p->nodeId();
             uint32_t idx = static_cast<uint32_t>(fn_->frame.size());
             localIndex_[p] = idx;
-            setDeclIndex(p->nodeId(), idx);
             fn_->frame.push_back(std::move(obj));
         }
         fn_->numParams = static_cast<uint32_t>(f->params().size());
@@ -551,12 +282,8 @@ class Lowerer
     emit(Inst inst)
     {
         auto &insts = fn_->blocks[curBlock_].insts;
-        if (!inst.loc.isValid()) {
+        if (!inst.loc.isValid())
             inst.loc = curLoc_;
-            if (curInfo_ && !ownLocSet_)
-                curInfo_->inheritedLocInsts.push_back(
-                    {curBlock_, static_cast<uint32_t>(insts.size())});
-        }
         insts.push_back(std::move(inst));
         return insts.back();
     }
@@ -570,25 +297,12 @@ class Lowerer
         return dst;
     }
 
-    /** Source-map lookup that records the consumed node id as a splice
-     *  provenance dependency when recording is on. */
-    SourceLoc
-    mapLoc(uint32_t id)
-    {
-        if (curInfo_ && depSet_.insert(id).second)
-            curInfo_->locDeps.push_back(id);
-        return map_.loc(id);
-    }
-
     void
     setLoc(const Node *n)
     {
-        SourceLoc l = mapLoc(n->nodeId());
-        if (l.isValid()) {
+        SourceLoc l = map_.loc(n->nodeId());
+        if (l.isValid())
             curLoc_ = l;
-            ownLocSet_ = true;
-            locSeq_++;
-        }
     }
 
     /** Every created block must end in a terminator. */
@@ -603,9 +317,6 @@ class Lowerer
             if (fn_->retKind != ScalarKind::Void)
                 ret.a = Value::makeImm(0);
             ret.loc = curLoc_;
-            if (curInfo_ && !ownLocSet_)
-                curInfo_->inheritedLocInsts.push_back(
-                    {bb.id, static_cast<uint32_t>(bb.insts.size())});
             bb.insts.push_back(std::move(ret));
         }
     }
@@ -632,76 +343,15 @@ class Lowerer
     // Statements
     //===------------------------------------------------------------===//
 
-    /** Lowering-state snapshot taken before each statement, for the
-     *  statement provenance memo. */
-    struct StmtSnapshot
-    {
-        uint32_t block = 0;
-        uint32_t instCount = 0;
-        uint32_t numBlocks = 0;
-        uint32_t numRegs = 0;
-        uint32_t frameSize = 0;
-        uint64_t locSeq = 0;
-    };
-
-    StmtSnapshot
-    takeSnapshot() const
-    {
-        return {curBlock_,
-                static_cast<uint32_t>(fn_->blocks[curBlock_].insts.size()),
-                static_cast<uint32_t>(fn_->blocks.size()), fn_->numRegs,
-                static_cast<uint32_t>(fn_->frame.size()), locSeq_};
-    }
-
-    /** Memoize @p s's emission when it was simple: contiguous in one
-     *  block, no new blocks, and the statement has a printed loc. */
-    void
-    maybeRecordStmt(const Stmt *s, const StmtSnapshot &snap)
-    {
-        if (curBlock_ != snap.block ||
-            static_cast<uint32_t>(fn_->blocks.size()) != snap.numBlocks)
-            return;
-        SourceLoc l = map_.loc(s->nodeId());
-        if (!l.isValid())
-            return;
-        StmtLoweringInfo m;
-        m.fingerprint = SubtreeSpan().runStmt(s);
-        m.block = snap.block;
-        m.instStart = snap.instCount;
-        m.instEnd =
-            static_cast<uint32_t>(fn_->blocks[curBlock_].insts.size());
-        m.numBlocks = snap.numBlocks;
-        m.regsBefore = snap.numRegs;
-        m.regsAfter = fn_->numRegs;
-        m.frameBefore = snap.frameSize;
-        m.frameAfter = static_cast<uint32_t>(fn_->frame.size());
-        m.loc = l;
-        m.setOwnLoc = locSeq_ != snap.locSeq;
-        m.endLoc = curLoc_;
-        curInfo_->stmts.emplace(s->nodeId(), std::move(m));
-    }
-
     void
     lowerBlock(const Block *b)
     {
         std::vector<uint32_t> scoped;
         for (const Stmt *s : b->stmts()) {
-            StmtSnapshot snap;
-            if (curInfo_)
-                snap = takeSnapshot();
-            if (auto *d = s->dynCast<DeclStmt>()) {
-                uint32_t idx;
-                if (auto copied = tryCopyStmt(s))
-                    idx = *copied;
-                else
-                    idx = lowerDecl(d);
-                scoped.push_back(idx);
-            } else {
-                if (!tryCopyStmt(s))
-                    lowerStmt(s);
-            }
-            if (curInfo_)
-                maybeRecordStmt(s, snap);
+            if (auto *d = s->dynCast<DeclStmt>())
+                scoped.push_back(lowerDecl(d));
+            else
+                lowerStmt(s);
             if (blockTerminated()) {
                 // Everything after return/break is unreachable; park the
                 // cursor on a fresh block that finalize() will close.
@@ -715,146 +365,6 @@ class Lowerer
             end.object = *it;
             emit(std::move(end));
         }
-    }
-
-    /**
-     * Replay @p s's base IR range instead of lowering it, when its
-     * provenance proves it unperturbed and the current lowering state
-     * is offset-compatible: same emission block id and block count
-     * (shadow statements are straight-line, so block allocation stays
-     * aligned), registers and own frame objects shifted by constant
-     * deltas, cross-statement variable references resolved by decl
-     * node id, and every debug location shifted by the statement's own
-     * line delta (simple statements print on one line). Returns the
-     * new frame index of the declared variable for DeclStmts, a dummy
-     * for other kinds, or nullopt when the statement must be lowered
-     * for real.
-     */
-    std::optional<uint32_t>
-    tryCopyStmt(const Stmt *s)
-    {
-        if (!stmtReuse_)
-            return std::nullopt;
-        auto it = stmtReuse_->info->stmts.find(s->nodeId());
-        if (it == stmtReuse_->info->stmts.end()) {
-            if (stmtReuse_->stats)
-                stmtReuse_->stats->reloweredStmts++;
-            return std::nullopt;
-        }
-        const StmtLoweringInfo &m = it->second;
-        const Function &bfn = *stmtReuse_->baseFn;
-        auto bail = [&]() -> std::optional<uint32_t> {
-            if (stmtReuse_->stats)
-                stmtReuse_->stats->reloweredStmts++;
-            return std::nullopt;
-        };
-        if (curBlock_ != m.block ||
-            static_cast<uint32_t>(fn_->blocks.size()) != m.numBlocks)
-            return bail();
-        if (m.block >= bfn.blocks.size() ||
-            m.instEnd > bfn.blocks[m.block].insts.size() ||
-            m.frameAfter > bfn.frame.size())
-            return bail();
-        SourceLoc d = map_.loc(s->nodeId());
-        if (!d.isValid() || d.offset != m.loc.offset)
-            return bail();
-        if (!m.fingerprint.matches(prog_.ctx(), s))
-            return bail();
-        int32_t dline = d.line - m.loc.line;
-        int64_t dreg = static_cast<int64_t>(fn_->numRegs) - m.regsBefore;
-        uint32_t newFrameStart = static_cast<uint32_t>(fn_->frame.size());
-
-        // Transform into a scratch vector first so a failed proof
-        // leaves no partial state behind.
-        std::vector<Inst> copied;
-        copied.reserve(m.instEnd - m.instStart);
-        bool ok = true;
-        auto remapReg = [&](uint32_t r) -> uint32_t {
-            if (r == 0)
-                return 0;
-            if (r < m.regsBefore) {
-                ok = false; // cross-statement register: not replayable
-                return r;
-            }
-            return static_cast<uint32_t>(r + dreg);
-        };
-        auto remapVal = [&](Value v) -> Value {
-            if (v.isReg())
-                v.reg = remapReg(v.reg);
-            return v;
-        };
-        for (uint32_t k = m.instStart; k < m.instEnd && ok; k++) {
-            Inst inst = bfn.blocks[m.block].insts[k];
-            inst.dst = remapReg(inst.dst);
-            inst.a = remapVal(inst.a);
-            inst.b = remapVal(inst.b);
-            inst.c = remapVal(inst.c);
-            for (Value &a : inst.args)
-                a = remapVal(a);
-            if (inst.op == Opcode::FrameAddr ||
-                inst.op == Opcode::LifetimeStart ||
-                inst.op == Opcode::LifetimeEnd) {
-                if (inst.object >= m.frameBefore) {
-                    inst.object =
-                        inst.object - m.frameBefore + newFrameStart;
-                } else {
-                    // A variable declared by an earlier statement:
-                    // rebind by decl node id (its index may have
-                    // shifted past an inserted declaration).
-                    const FrameObject &bo = bfn.frame[inst.object];
-                    const uint32_t *di =
-                        bo.declId ? findDeclIndex(bo.declId) : nullptr;
-                    if (!di) {
-                        ok = false;
-                        break;
-                    }
-                    inst.object = *di;
-                }
-            }
-            if (inst.op == Opcode::Br || inst.op == Opcode::CondBr) {
-                // Only already-existing targets can appear in a simple
-                // statement (break/continue to enclosing-loop blocks,
-                // which the re-lowered shells allocated at aligned
-                // ids); unused target slots hold 0 and pass trivially.
-                for (uint32_t t : inst.targets) {
-                    if (t >= m.numBlocks) {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if (inst.loc.isValid())
-                inst.loc.line += dline;
-            copied.push_back(std::move(inst));
-        }
-        if (!ok)
-            return bail();
-
-        // Commit: instructions, frame objects, registers, cursor.
-        auto &insts = fn_->blocks[curBlock_].insts;
-        insts.insert(insts.end(),
-                     std::make_move_iterator(copied.begin()),
-                     std::make_move_iterator(copied.end()));
-        for (uint32_t fi = m.frameBefore; fi < m.frameAfter; fi++) {
-            FrameObject obj = bfn.frame[fi];
-            uint32_t nidx = static_cast<uint32_t>(fn_->frame.size());
-            if (obj.declId)
-                setDeclIndex(obj.declId, nidx);
-            else
-                obj.name = "tmp" + std::to_string(nidx);
-            fn_->frame.push_back(std::move(obj));
-        }
-        fn_->numRegs = static_cast<uint32_t>(m.regsAfter + dreg);
-        // Restore the cursor exactly where a scratch lowering of this
-        // statement would leave it: its last setLoc, line-shifted — or
-        // untouched when the statement never moved it (empty block).
-        if (m.setOwnLoc)
-            curLoc_ = SourceLoc{m.endLoc.line + dline, m.endLoc.offset};
-        if (auto *ds = s->dynCast<DeclStmt>())
-            localIndex_[ds->var()] = newFrameStart;
-        if (stmtReuse_->stats)
-            stmtReuse_->stats->copiedStmts++;
-        return newFrameStart;
     }
 
     uint32_t
@@ -871,7 +381,6 @@ class Lowerer
         uint32_t idx = static_cast<uint32_t>(fn_->frame.size());
         fn_->frame.push_back(std::move(obj));
         localIndex_[v] = idx;
-        setDeclIndex(v->nodeId(), idx);
 
         Inst start;
         start.op = Opcode::LifetimeStart;
@@ -949,7 +458,7 @@ class Lowerer
             uint32_t join_bb = newBlock();
             emitCondBr(cond, then_bb,
                        i->elseBlock() ? else_bb : join_bb,
-                       mapLoc(i->cond()->nodeId()));
+                       map_.loc(i->cond()->nodeId()));
             curBlock_ = then_bb;
             lowerBlock(i->thenBlock());
             emitBr(join_bb);
@@ -971,7 +480,7 @@ class Lowerer
             setLoc(w->cond());
             RV cond = lowerExpr(w->cond());
             emitCondBr(cond, body_bb, exit_bb,
-                       mapLoc(w->cond()->nodeId()));
+                       map_.loc(w->cond()->nodeId()));
             breakTargets_.push_back(exit_bb);
             continueTargets_.push_back(cond_bb);
             curBlock_ = body_bb;
@@ -1001,7 +510,7 @@ class Lowerer
                 setLoc(f->cond());
                 RV cond = lowerExpr(f->cond());
                 emitCondBr(cond, body_bb, exit_bb,
-                           mapLoc(f->cond()->nodeId()));
+                           map_.loc(f->cond()->nodeId()));
             } else {
                 emitBr(body_bb);
             }
@@ -1098,7 +607,7 @@ class Lowerer
             mc.a = dst;
             mc.b = src;
             mc.imm = lt->size();
-            mc.loc = mapLoc(a->lhs()->nodeId());
+            mc.loc = map_.loc(a->lhs()->nodeId());
             emit(std::move(mc));
             return;
         }
@@ -1114,7 +623,7 @@ class Lowerer
             ld.a = addr;
             ld.imm = lt->size();
             ld.kind = lk;
-            ld.loc = mapLoc(a->lhs()->nodeId());
+            ld.loc = map_.loc(a->lhs()->nodeId());
             RV cur{Value::makeReg(emitValue(std::move(ld))), lk};
             RV rv = lowerExpr(a->rhs());
             BinaryOp bop = assignOpBinary(a->op());
@@ -1156,7 +665,7 @@ class Lowerer
                 bin.a = cur.v;
                 bin.b = rv.v;
                 bin.flag = true; // from source arithmetic
-                bin.loc = mapLoc(a->rhs()->nodeId());
+                bin.loc = map_.loc(a->rhs()->nodeId());
                 rhs = RV{Value::makeReg(emitValue(std::move(bin))), ck};
             }
         }
@@ -1166,7 +675,7 @@ class Lowerer
         st.a = addr;
         st.b = rhs.v;
         st.imm = lt->size();
-        st.loc = mapLoc(a->lhs()->nodeId());
+        st.loc = map_.loc(a->lhs()->nodeId());
         emit(std::move(st));
     }
 
@@ -1204,7 +713,7 @@ class Lowerer
                 addr.op = Opcode::FrameAddr;
                 addr.object = localIndex_.at(v);
             }
-            addr.loc = mapLoc(e->nodeId());
+            addr.loc = map_.loc(e->nodeId());
             return Value::makeReg(emitValue(std::move(addr)));
           }
           case NodeKind::Unary: {
@@ -1232,7 +741,7 @@ class Lowerer
             g.b = idx.v;
             g.imm = indexResultType(bt)->size();
             g.bound = bound;
-            g.loc = mapLoc(e->nodeId());
+            g.loc = map_.loc(e->nodeId());
             return Value::makeReg(emitValue(std::move(g)));
           }
           case NodeKind::Member: {
@@ -1244,7 +753,7 @@ class Lowerer
             g.a = base;
             g.b = Value::makeImm(m->field()->offset());
             g.imm = 1;
-            g.loc = mapLoc(e->nodeId());
+            g.loc = map_.loc(e->nodeId());
             return Value::makeReg(emitValue(std::move(g)));
           }
           default:
@@ -1274,7 +783,7 @@ class Lowerer
             ld.a = addr;
             ld.imm = t->size();
             ld.kind = scalarKindOf(t);
-            ld.loc = mapLoc(e->nodeId());
+            ld.loc = map_.loc(e->nodeId());
             return RV{Value::makeReg(emitValue(std::move(ld))),
                       scalarKindOf(t)};
           }
@@ -1290,7 +799,7 @@ class Lowerer
             uint32_t t_bb = newBlock();
             uint32_t f_bb = newBlock();
             uint32_t join_bb = newBlock();
-            emitCondBr(cond, t_bb, f_bb, mapLoc(s->nodeId()));
+            emitCondBr(cond, t_bb, f_bb, map_.loc(s->nodeId()));
             curBlock_ = t_bb;
             storeTemp(tmp, convert(lowerExpr(s->trueExpr()), k));
             emitBr(join_bb);
@@ -1311,7 +820,7 @@ class Lowerer
             ld.a = addr;
             ld.imm = t->size();
             ld.kind = scalarKindOf(t);
-            ld.loc = mapLoc(e->nodeId());
+            ld.loc = map_.loc(e->nodeId());
             return RV{Value::makeReg(emitValue(std::move(ld))),
                       scalarKindOf(t)};
           }
@@ -1371,7 +880,7 @@ class Lowerer
             ld.a = addr;
             ld.imm = t->size();
             ld.kind = scalarKindOf(t);
-            ld.loc = mapLoc(u->nodeId());
+            ld.loc = map_.loc(u->nodeId());
             return RV{Value::makeReg(emitValue(std::move(ld))),
                       scalarKindOf(t)};
           }
@@ -1387,7 +896,7 @@ class Lowerer
             bin.a = Value::makeImm(0);
             bin.b = sub.v;
             bin.flag = true; // -INT_MIN is real signed overflow
-            bin.loc = mapLoc(u->nodeId());
+            bin.loc = map_.loc(u->nodeId());
             return RV{Value::makeReg(emitValue(std::move(bin))), k};
           }
           case UnaryOp::BitNot: {
@@ -1399,7 +908,7 @@ class Lowerer
             bin.kind = k;
             bin.a = sub.v;
             bin.b = Value::makeImm(canonicalize(~0ULL, k));
-            bin.loc = mapLoc(u->nodeId());
+            bin.loc = map_.loc(u->nodeId());
             return RV{Value::makeReg(emitValue(std::move(bin))), k};
           }
           case UnaryOp::LogNot: {
@@ -1410,7 +919,7 @@ class Lowerer
             bin.kind = sub.kind;
             bin.a = sub.v;
             bin.b = Value::makeImm(0);
-            bin.loc = mapLoc(u->nodeId());
+            bin.loc = map_.loc(u->nodeId());
             return RV{Value::makeReg(emitValue(std::move(bin))),
                       ScalarKind::S32};
           }
@@ -1433,7 +942,7 @@ class Lowerer
             bool is_and = op == BinaryOp::LAnd;
             emitCondBr(lhs, is_and ? rhs_bb : short_bb,
                        is_and ? short_bb : rhs_bb,
-                       mapLoc(b->nodeId()));
+                       map_.loc(b->nodeId()));
             curBlock_ = rhs_bb;
             {
                 RV rhs = lowerExpr(b->rhs());
@@ -1507,7 +1016,7 @@ class Lowerer
             g.a = p.v;
             g.b = idx.v;
             g.imm = et->size();
-            g.loc = mapLoc(b->nodeId());
+            g.loc = map_.loc(b->nodeId());
             return RV{Value::makeReg(emitValue(std::move(g))),
                       ScalarKind::U64};
         }
@@ -1523,7 +1032,7 @@ class Lowerer
             cmp.kind = ScalarKind::U64;
             cmp.a = l.v;
             cmp.b = r.v;
-            cmp.loc = mapLoc(b->nodeId());
+            cmp.loc = map_.loc(b->nodeId());
             return RV{Value::makeReg(emitValue(std::move(cmp))),
                       ScalarKind::S32};
         }
@@ -1540,7 +1049,7 @@ class Lowerer
             cmp.kind = ck;
             cmp.a = l.v;
             cmp.b = r.v;
-            cmp.loc = mapLoc(b->nodeId());
+            cmp.loc = map_.loc(b->nodeId());
             return RV{Value::makeReg(emitValue(std::move(cmp))),
                       ScalarKind::S32};
         }
@@ -1561,7 +1070,7 @@ class Lowerer
         bin.a = l.v;
         bin.b = r.v;
         bin.flag = true; // source-level arithmetic: sanitizer-checkable
-        bin.loc = mapLoc(b->nodeId());
+        bin.loc = map_.loc(b->nodeId());
         return RV{Value::makeReg(emitValue(std::move(bin))), rk};
     }
 
@@ -1576,7 +1085,7 @@ class Lowerer
             a = convert(a, scalarKindOf(callee->params()[i]->type()));
             args.push_back(a);
         }
-        SourceLoc loc = mapLoc(c->nodeId());
+        SourceLoc loc = map_.loc(c->nodeId());
         auto simple = [&](Opcode op) {
             Inst inst;
             inst.op = op;
@@ -1638,46 +1147,6 @@ class Lowerer
 
     const Program &prog_;
     const SourceMap &map_;
-    /** Provenance recording sink (base lowering); null otherwise. */
-    LoweringInfo *record_ = nullptr;
-    /** Base-module reuse plan (incremental lowering); null otherwise. */
-    const ReusePlan *reuse_ = nullptr;
-    /** Statement-level reuse for the function being lowered. */
-    const StmtReuseCtx *stmtReuse_ = nullptr;
-    /** record_->functions entry of the function being lowered. */
-    FunctionLoweringInfo *curInfo_ = nullptr;
-    /** Node ids already recorded in curInfo_->locDeps. */
-    std::unordered_set<uint32_t> depSet_;
-    /** Frame index of each declared variable (by decl nodeId) in the
-     *  function being lowered — how copied statement ranges rebind
-     *  references to variables whose frame index shifted. Node ids
-     *  are dense per program, so this is a plain vector; per-function
-     *  clearing is an epoch bump, not a wipe. */
-    std::vector<uint32_t> declIdSlot_;
-    std::vector<uint32_t> declIdEpoch_;
-    uint32_t declEpoch_ = 1;
-
-    void clearDeclIndex() { declEpoch_++; }
-
-    void
-    setDeclIndex(uint32_t declId, uint32_t idx)
-    {
-        if (declId >= declIdSlot_.size()) {
-            declIdSlot_.resize(declId + 1, 0);
-            declIdEpoch_.resize(declId + 1, 0);
-        }
-        declIdSlot_[declId] = idx;
-        declIdEpoch_[declId] = declEpoch_;
-    }
-
-    const uint32_t *
-    findDeclIndex(uint32_t declId) const
-    {
-        if (declId >= declIdSlot_.size() ||
-            declIdEpoch_[declId] != declEpoch_)
-            return nullptr;
-        return &declIdSlot_[declId];
-    }
     Module module_;
     std::unordered_map<const VarDecl *, uint32_t> globalIndex_;
     std::unordered_map<const VarDecl *, uint32_t> localIndex_;
@@ -1687,21 +1156,9 @@ class Lowerer
 } // namespace
 
 Module
-lowerProgram(const Program &program, const SourceMap &map,
-             LoweringInfo *info)
+lowerProgram(const Program &program, const SourceMap &map)
 {
-    return Lowerer(program, map, info).run();
-}
-
-Module
-lowerProgramIncremental(const ast::Program &derived,
-                        const ast::SourceMap &derivedMap,
-                        const Module &base, const LoweringInfo &baseInfo,
-                        const ast::SourceMap &baseMap,
-                        uint32_t perturbedFnId, IncrementalStats *stats)
-{
-    ReusePlan plan{&base, &baseInfo, &baseMap, perturbedFnId, stats};
-    return Lowerer(derived, derivedMap, nullptr, &plan).run();
+    return Lowerer(program, map).run();
 }
 
 } // namespace ubfuzz::ir

@@ -1,33 +1,20 @@
 /**
  * @file
- * AST -> IR lowering, plus the incremental re-lowering machinery the
- * seed-level compile cache is built on.
+ * AST -> IR lowering.
  *
  * Lowering consumes the SourceMap produced by printing the program, so
  * every instruction gets the (line, offset) of the expression it came
  * from — the debug metadata that crash-site mapping depends on.
  *
- * UBGen derives each UB program by cloning a seed (node ids preserved)
- * and perturbing exactly one function body plus appending auxiliary
- * globals. Lowering a function depends only on its own subtree, the
- * global/function index tables (stable: UBGen appends, never reorders),
- * and the source locations of its nodes — so an unperturbed function's
- * instruction stream is identical across seed and UB program except
- * that every debug location shifts by one per-function line delta (the
- * lines inserted above it). `lowerProgram(..., LoweringInfo *)` records
- * the provenance needed to replay that reasoning safely, and
- * `lowerProgramIncremental` splices base IR for every function it can
- * prove unperturbed, re-lowering only the rest.
+ * Every program — seed base, UB program, MUSIC mutant, NoSafe or
+ * Juliet case — is lowered from scratch by this one entry point.
+ * Derived programs are deliberately not lowered incrementally from
+ * their seed's module: measured, proving a splice safe cost as much as
+ * lowering the whole program.
  */
 
 #ifndef UBFUZZ_IR_LOWERING_H
 #define UBFUZZ_IR_LOWERING_H
-
-#include <cstddef>
-#include <cstdint>
-#include <unordered_map>
-#include <utility>
-#include <vector>
 
 #include "ast/ast.h"
 #include "ast/printer.h"
@@ -35,189 +22,8 @@
 
 namespace ubfuzz::ir {
 
-/**
- * Fingerprint of an AST subtree as a contiguous arena slot range:
- * [begin, end) node indices plus ASTContext::hashNodeRange over them.
- * Producers (the generator, the parser, the node-by-node cloner) build
- * each subtree's nodes consecutively, so the span is tight; the memcpy
- * clone preserves arena indices and slot bytes verbatim, so an
- * unperturbed subtree matches by pure range re-hash — no tree walk.
- * Any in-place mutation rewrites bytes inside the span, and any
- * inserted node lives past the seed's arena tail, outside every
- * recorded span — both change or miss the hash, failing the proof.
- */
-struct SubtreeFingerprint
-{
-    uint32_t begin = 0;
-    uint32_t end = 0;
-    uint64_t hash = 0;
-
-    bool
-    operator==(const SubtreeFingerprint &o) const
-    {
-        return begin == o.begin && end == o.end && hash == o.hash;
-    }
-    bool operator!=(const SubtreeFingerprint &o) const { return !(*this == o); }
-
-    /**
-     * Does the same slot range of @p ctx, which must contain
-     * @p root's slot, still hash identically? False (never a panic)
-     * when the range is out of bounds for this context.
-     */
-    bool
-    matches(const ast::ASTContext &ctx, const ast::Node *root) const
-    {
-        return begin < end && end <= ctx.numNodes() &&
-               root->arenaIndex() >= begin && root->arenaIndex() < end &&
-               ctx.hashNodeRange(begin, end) == hash;
-    }
-};
-
-/**
- * Provenance of one *simple* statement's lowering: the IR range it
- * emitted and the lowering-state window it emitted it in. "Simple"
- * means the emission stayed contiguous in one basic block and created
- * no new blocks — declarations, assignments, expression statements,
- * returns, breaks and continues, and plain scope blocks containing
- * only such statements. Compound statements (if/while/for) are never
- * memoized whole; their nested simple statements are.
- *
- * A statement range can be replayed into an in-progress lowering at a
- * different register/frame/line offset because, by construction,
- * lowered statements are self-contained: registers never flow between
- * statements (values cross through frame slots), temporaries are
- * statement-local, and a simple statement prints on a single source
- * line.
- */
-struct StmtLoweringInfo
-{
-    /** Arena-range fingerprint of the statement subtree (same scheme
-     *  as FunctionLoweringInfo::astFingerprint). */
-    SubtreeFingerprint fingerprint;
-    /** Block the emission went into (unchanged across the stmt). */
-    uint32_t block = 0;
-    /** Emitted instruction range [instStart, instEnd) in `block`. */
-    uint32_t instStart = 0;
-    uint32_t instEnd = 0;
-    /** Block count at statement start (== at end; id alignment). */
-    uint32_t numBlocks = 0;
-    /** fn.numRegs before/after — the range's register window. */
-    uint32_t regsBefore = 0;
-    uint32_t regsAfter = 0;
-    /** fn.frame.size() before/after — frame objects it created. */
-    uint32_t frameBefore = 0;
-    uint32_t frameAfter = 0;
-    /** The statement's own printed location in the base program. */
-    SourceLoc loc;
-    /**
-     * Did lowering this statement move the location cursor, and where
-     * did it leave it (base coordinates)? For leaf statements the end
-     * cursor is the statement's own loc, but a scope Block leaves it
-     * at its *last inner statement* (blocks never setLoc themselves),
-     * and an empty block does not move it at all — a replay must
-     * restore exactly what a scratch lowering would leave behind,
-     * because the next loc-inheriting emission (e.g. the branch
-     * closing an enclosing if) bakes it into the module.
-     */
-    bool setOwnLoc = false;
-    SourceLoc endLoc;
-};
-
-/**
- * Per-function lowering provenance, recorded while lowering a base
- * program and consumed when incrementally lowering a derived clone.
- */
-struct FunctionLoweringInfo
-{
-    /** The FunctionDecl nodeId this module function was lowered from. */
-    uint32_t declId = 0;
-    /**
-     * Arena-range fingerprint of the function's AST subtree. The
-     * memcpy clone preserves arena indices and slot bytes, so an
-     * unperturbed function matches by re-hashing the recorded range;
-     * any in-place rewrite or insertion changes the covered bytes or
-     * falls outside the range — the structural half of the
-     * splice-safety proof.
-     */
-    SubtreeFingerprint astFingerprint;
-    /** Every nodeId whose source location the lowering consumed. The
-     *  locational half of the proof: splicing requires all of them to
-     *  shift by one uniform line delta in the derived printing. */
-    std::vector<uint32_t> locDeps;
-    /**
-     * Instructions (blockId, instIndex) whose location was inherited
-     * from whatever statement lowered *before* this function (the
-     * lowering cursor is not reset between functions). These do not
-     * shift with the function body; the splicer re-stamps them with
-     * its own current cursor, exactly as a fresh lowering would.
-     */
-    std::vector<std::pair<uint32_t, uint32_t>> inheritedLocInsts;
-    /** Did this function ever set its own location cursor? */
-    bool setOwnLoc = false;
-    /** Cursor value when the function finished (base coordinates);
-     *  meaningful only when setOwnLoc. */
-    SourceLoc endLoc;
-    /**
-     * Statement-level provenance, keyed by statement nodeId. When the
-     * whole-function splice proof fails (the function *is* the
-     * perturbed one), the incremental lowering still replays every
-     * provably unchanged simple statement from here and re-lowers only
-     * the perturbed statements and the compound shells around them.
-     */
-    std::unordered_map<uint32_t, StmtLoweringInfo> stmts;
-};
-
-/** Lowering provenance for a whole module (parallel to functions). */
-struct LoweringInfo
-{
-    std::vector<FunctionLoweringInfo> functions;
-};
-
-/** Work counters of one incremental lowering. */
-struct IncrementalStats
-{
-    /** Functions whose IR was spliced whole from the base module. */
-    size_t splicedFunctions = 0;
-    /** Functions lowered statement-by-statement (perturbed or failed
-     *  whole-function proof). */
-    size_t reloweredFunctions = 0;
-    /** Statement ranges replayed from base provenance inside
-     *  re-lowered functions. */
-    size_t copiedStmts = 0;
-    /** Statements actually lowered from the derived AST. */
-    size_t reloweredStmts = 0;
-};
-
-/** Lower @p program to an IR module using @p map for debug locations.
- *  When @p info is non-null, records splice provenance into it. */
-Module lowerProgram(const ast::Program &program, const ast::SourceMap &map,
-                    LoweringInfo *info = nullptr);
-
-/**
- * Incrementally lower @p derived — a node-id-preserving clone of the
- * base program with perturbations confined to the function with decl
- * nodeId @p perturbedFnId plus appended globals — against @p derivedMap,
- * splicing function IR from @p base (lowered with provenance @p baseInfo
- * against @p baseMap) wherever the per-function proof holds:
- *
- *   1. same position, same FunctionDecl nodeId, not the perturbed one,
- *   2. identical AST fingerprint (no structural change), and
- *   3. every consumed source location shifted by one uniform line delta
- *      with unchanged intra-line offsets.
- *
- * Functions failing any check are transparently re-lowered from the
- * derived AST, so the result is always exactly `lowerProgram(derived,
- * derivedMap)` — bit-identical instruction streams, frames, globals,
- * and debug locations (and therefore an identical ir::executionKey).
- * Globals are always lowered fresh (they carry no instructions).
- */
-Module lowerProgramIncremental(const ast::Program &derived,
-                               const ast::SourceMap &derivedMap,
-                               const Module &base,
-                               const LoweringInfo &baseInfo,
-                               const ast::SourceMap &baseMap,
-                               uint32_t perturbedFnId,
-                               IncrementalStats *stats = nullptr);
+/** Lower @p program to an IR module using @p map for debug locations. */
+Module lowerProgram(const ast::Program &program, const ast::SourceMap &map);
 
 /** The register-kind a MiniC type occupies (pointers/arrays are U64). */
 ScalarKind scalarKindOf(const ast::Type *t);

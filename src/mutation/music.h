@@ -34,10 +34,8 @@ namespace ubfuzz::mutation {
  * Every MUSIC operator perturbs exactly one function body of a
  * node-id-preserving clone; when @p perturbedFnId is non-null it
  * receives the FunctionDecl nodeId of that function (0 when no mutant
- * was produced). That is the handle compiler::SeedLoweringCache needs
- * to lower the mutant incrementally — splice every other function from
- * the seed's base module and re-lower only the mutated one — exactly
- * like UBGen's UBProgram::perturbedFnId.
+ * was produced). Like UBGen's UBProgram::perturbedFnId, the handle is
+ * informational: the campaign lowers every mutant from scratch.
  */
 std::unique_ptr<ast::Program> musicMutate(const ast::Program &seed,
                                           Rng &rng,

@@ -44,13 +44,10 @@ struct UBProgram
     uint32_t siteId = 0;
     /**
      * Node id of the FunctionDecl whose body the shadow statement and
-     * expression rewrite live in. Every structural change to the seed
-     * is confined to this one function (plus appended auxiliary
-     * globals), which is what lets the compiler's seed-level cache
-     * lower the derived program incrementally: splice the other
-     * functions from the seed's base module and re-lower only this
-     * one. 0 means "unknown" — consumers must fall back to a full
-     * lowering.
+     * expression rewrite live in (every structural change to the seed
+     * is confined to it, plus appended auxiliary globals); 0 means
+     * unknown. Informational: the campaign lowers every UB program
+     * from scratch.
      */
     uint32_t perturbedFnId = 0;
     /** Human-readable description of the inserted shadow statement. */
@@ -118,8 +115,8 @@ bool validateUBProgram(const UBProgram &ub);
 /**
  * The same check against an already-lowered module of @p ub (printed
  * as @p printed), executed through @p machine — the campaign's hot
- * path, which lowers each UB program incrementally and reuses both
- * the module and one classifier machine per unit.
+ * path, which reuses both the module (for the testing matrix) and one
+ * classifier machine per unit.
  */
 bool validateUBModule(const UBProgram &ub, const ir::Module &mod,
                       const ast::PrintedProgram &printed,
