@@ -447,6 +447,40 @@ binaryKey(const Module &m)
     return sink.finish();
 }
 
+const std::vector<uint8_t> &
+CycleFinder::cyclicBlocks(const Function &f)
+{
+    const uint32_t n = static_cast<uint32_t>(f.blocks.size());
+    cyclic_.assign(n, 0);
+    seen_.assign(n, 0);
+    auto pushSuccs = [&](uint32_t b) {
+        const Inst &term = f.blocks[b].insts.back();
+        if (term.op == Opcode::Br)
+            work_.push_back(term.targets[0]);
+        if (term.op == Opcode::CondBr) {
+            work_.push_back(term.targets[0]);
+            work_.push_back(term.targets[1]);
+        }
+    };
+    for (uint32_t start = 0; start < n; start++) {
+        work_.clear();
+        pushSuccs(start);
+        while (!work_.empty()) {
+            uint32_t b = work_.back();
+            work_.pop_back();
+            if (b == start) {
+                cyclic_[start] = 1;
+                break;
+            }
+            if (seen_[b] == start + 1)
+                continue;
+            seen_[b] = start + 1;
+            pushSuccs(b);
+        }
+    }
+    return cyclic_;
+}
+
 std::string
 verifyModule(const Module &m)
 {

@@ -387,6 +387,27 @@ struct BinaryKeyHash
 BinaryKey binaryKey(const Module &m);
 
 /**
+ * The blocks of a function that can reach themselves (take part in a
+ * loop). ASan's scope poisoning and GCC -O3 lifetime hoisting both
+ * decide by it. The finder keeps its buffers across calls, so the pass
+ * that owns one allocates only for a function with more blocks than
+ * any before it.
+ */
+class CycleFinder
+{
+  public:
+    /** cyclic[b] for every block b of @p f; valid until the next
+     *  call. */
+    const std::vector<uint8_t> &cyclicBlocks(const Function &f);
+
+  private:
+    std::vector<uint8_t> cyclic_;
+    /** seen_[b] == start + 1: the search from start reached b. */
+    std::vector<uint32_t> seen_;
+    std::vector<uint32_t> work_;
+};
+
+/**
  * Structural sanity check: every block non-empty and ending in its
  * only terminator, branch targets, callees and frame/global objects in
  * range, every register the VM indexes (operands, call arguments and

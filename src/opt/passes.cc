@@ -1,11 +1,8 @@
 #include "opt/pass.h"
 
 #include <algorithm>
-#include <map>
-#include <tuple>
-#include <unordered_map>
-#include <unordered_set>
 
+#include "ir/reg_table.h"
 #include "support/coverage.h"
 #include "support/diagnostics.h"
 
@@ -119,21 +116,20 @@ class ConstFoldPass : public Pass
         UBF_COV_HIT(covFold);
         bool changed = false;
         for (BasicBlock &bb : f.blocks) {
-            std::unordered_map<uint32_t, uint64_t> consts;
+            consts_.reset(f.numRegs);
             for (Inst &inst : bb.insts) {
                 forEachOperand(inst, [&](Value &v) {
                     if (!v.isReg())
                         return;
-                    auto it = consts.find(v.reg);
-                    if (it != consts.end()) {
-                        v = Value::makeImm(it->second);
+                    if (const uint64_t *c = consts_.find(v.reg)) {
+                        v = Value::makeImm(*c);
                         changed = true;
                     }
                 });
                 switch (inst.op) {
                   case Opcode::Const:
-                    consts[inst.dst] =
-                        ir::canonicalValue(inst.imm, inst.kind);
+                    consts_.set(inst.dst,
+                                ir::canonicalValue(inst.imm, inst.kind));
                     break;
                   case Opcode::Bin:
                     if (inst.a.isImm() && inst.b.isImm()) {
@@ -145,7 +141,7 @@ class ConstFoldPass : public Pass
                         if (!trapped) {
                             UBF_COV_HIT(covFoldBin);
                             makeConst(inst, r);
-                            consts[inst.dst] = inst.imm;
+                            consts_.set(inst.dst, inst.imm);
                             changed = true;
                         }
                     }
@@ -153,7 +149,7 @@ class ConstFoldPass : public Pass
                   case Opcode::Cast:
                     if (inst.a.isImm()) {
                         makeConst(inst, inst.a.imm);
-                        consts[inst.dst] = inst.imm;
+                        consts_.set(inst.dst, inst.imm);
                         changed = true;
                     }
                     break;
@@ -186,6 +182,10 @@ class ConstFoldPass : public Pass
         }
         return changed;
     }
+
+  private:
+    /** Register -> its constant value, within the current block. */
+    ir::RegTable<uint64_t> consts_;
 };
 
 //===--------------------------------------------------------------===//
@@ -203,14 +203,13 @@ class PeepholePass : public Pass
         UBF_COV_HIT(covPeephole);
         bool changed = false;
         for (BasicBlock &bb : f.blocks) {
-            // reg -> defining instruction index (for reassociation).
-            std::unordered_map<uint32_t, size_t> defs;
+            defs_.reset(f.numRegs);
             for (size_t i = 0; i < bb.insts.size(); i++) {
                 Inst &inst = bb.insts[i];
                 if (inst.op == Opcode::Bin)
-                    changed |= simplifyBin(bb, defs, inst);
+                    changed |= simplifyBin(bb, inst);
                 if (inst.dst)
-                    defs[inst.dst] = i;
+                    defs_.set(inst.dst, i);
             }
         }
         return changed;
@@ -223,9 +222,7 @@ class PeepholePass : public Pass
     }
 
     bool
-    simplifyBin(BasicBlock &bb,
-                const std::unordered_map<uint32_t, size_t> &defs,
-                Inst &inst)
+    simplifyBin(BasicBlock &bb, Inst &inst)
     {
         const Value a = inst.a, b = inst.b;
         bool llvm = vendor_ == Vendor::LLVM;
@@ -257,9 +254,8 @@ class PeepholePass : public Pass
             // folding the constants can remove an intermediate signed
             // overflow, a classic UB-eliding transform.
             if (llvm && b.isImm() && a.isReg()) {
-                auto it = defs.find(a.reg);
-                if (it != defs.end()) {
-                    const Inst &def = bb.insts[it->second];
+                if (const size_t *d = defs_.find(a.reg)) {
+                    const Inst &def = bb.insts[*d];
                     if (def.op == Opcode::Bin &&
                         def.binOp == BinaryOp::Add &&
                         def.kind == inst.kind && def.b.isImm()) {
@@ -339,11 +335,101 @@ class PeepholePass : public Pass
     }
 
     Vendor vendor_;
+    /** Register -> index of its defining instruction in the current
+     *  block (for reassociation). */
+    ir::RegTable<size_t> defs_;
 };
 
 //===--------------------------------------------------------------===//
 // Common subexpression elimination
 //===--------------------------------------------------------------===//
+
+/**
+ * The expressions one block has computed so far, each mapped to the
+ * first register that holds it: a flat open-addressing table with
+ * linear probing and epoch-stamped slots. reset() sizes it to a power
+ * of two at least twice the block's instruction count, so the table is
+ * at most half full and every probe ends.
+ */
+class ExprTable
+{
+  public:
+    /** Everything an expression's value depends on. */
+    struct Key
+    {
+        Opcode op;
+        ir::ScalarKind kind;
+        BinaryOp binOp;
+        Value::Tag ta, tb;
+        uint64_t va, vb; ///< register id or immediate, per tag
+        uint64_t imm;
+        uint32_t object;
+        uint64_t bound;
+
+        friend bool operator==(const Key &, const Key &) = default;
+    };
+
+    /** Forget every expression; make room for @p insts of them. */
+    void
+    reset(size_t insts)
+    {
+        size_t cap = 16;
+        while (cap < 2 * insts)
+            cap *= 2;
+        if (slots_.size() < cap)
+            slots_.resize(cap);
+        mask_ = cap - 1;
+        if (++epoch_ == 0) {
+            for (Slot &s : slots_)
+                s.stamp = 0;
+            epoch_ = 1;
+        }
+    }
+
+    /** The register that already holds @p key, or nullptr after
+     *  recording that @p dst does: the first definition wins. */
+    const uint32_t *
+    insert(const Key &key, uint32_t dst)
+    {
+        for (size_t i = hash(key) & mask_;; i = (i + 1) & mask_) {
+            Slot &s = slots_[i];
+            if (s.stamp != epoch_) {
+                s = {epoch_, key, dst};
+                return nullptr;
+            }
+            if (s.key == key)
+                return &s.reg;
+        }
+    }
+
+  private:
+    struct Slot
+    {
+        uint32_t stamp = 0;
+        Key key{};
+        uint32_t reg = 0;
+    };
+
+    static size_t
+    hash(const Key &k)
+    {
+        uint64_t h = static_cast<uint64_t>(k.op) |
+                     static_cast<uint64_t>(k.kind) << 8 |
+                     static_cast<uint64_t>(k.binOp) << 16 |
+                     static_cast<uint64_t>(k.ta) << 24 |
+                     static_cast<uint64_t>(k.tb) << 32;
+        for (uint64_t w : {k.va, k.vb, k.imm, uint64_t{k.object}, k.bound}) {
+            h = (h ^ w) * 0x9E3779B97F4A7C15ULL;
+            h ^= h >> 32;
+        }
+        return static_cast<size_t>(h);
+    }
+
+    std::vector<Slot> slots_;
+    size_t mask_ = 0;
+    /** Never 0, so a fresh slot (stamp 0) is always empty. */
+    uint32_t epoch_ = 1;
+};
 
 class CSEPass : public Pass
 {
@@ -353,19 +439,15 @@ class CSEPass : public Pass
     {
         UBF_COV_HIT(covCse);
         bool changed = false;
-        using Key = std::tuple<uint8_t, uint8_t, uint8_t, uint8_t,
-                               uint64_t, uint8_t, uint64_t, uint64_t,
-                               uint32_t, uint64_t>;
         for (BasicBlock &bb : f.blocks) {
-            std::map<Key, uint32_t> seen;
-            std::unordered_map<uint32_t, uint32_t> alias;
+            seen_.reset(bb.insts.size());
+            alias_.reset(f.numRegs);
             for (Inst &inst : bb.insts) {
                 forEachOperand(inst, [&](Value &v) {
-                    if (v.isReg()) {
-                        auto it = alias.find(v.reg);
-                        if (it != alias.end())
-                            v.reg = it->second;
-                    }
+                    if (!v.isReg())
+                        return;
+                    if (const uint32_t *to = alias_.find(v.reg))
+                        v.reg = *to;
                 });
                 switch (inst.op) {
                   case Opcode::Const:
@@ -378,25 +460,19 @@ class CSEPass : public Pass
                   default:
                     continue;
                 }
-                auto enc = [](const Value &v) {
-                    return std::pair<uint8_t, uint64_t>(
-                        static_cast<uint8_t>(v.tag),
-                        v.isReg() ? v.reg : v.imm);
+                auto payload = [](const Value &v) -> uint64_t {
+                    return v.isReg() ? v.reg : v.imm;
                 };
-                auto [ta, va] = enc(inst.a);
-                auto [tb, vb] = enc(inst.b);
-                Key key{static_cast<uint8_t>(inst.op),
-                        static_cast<uint8_t>(inst.kind),
-                        static_cast<uint8_t>(inst.binOp),
-                        ta, va, tb, vb, inst.imm, inst.object,
-                        inst.bound};
-                auto [it, inserted] = seen.emplace(key, inst.dst);
-                if (!inserted) {
+                ExprTable::Key key{inst.op, inst.kind, inst.binOp,
+                                   inst.a.tag, inst.b.tag,
+                                   payload(inst.a), payload(inst.b),
+                                   inst.imm, inst.object, inst.bound};
+                if (const uint32_t *first = seen_.insert(key, inst.dst)) {
                     // Forward in-block uses directly; keep the dst
                     // defined via an identity (uses in later blocks
                     // may exist), and let DCE clean it up.
-                    alias[inst.dst] = it->second;
-                    makeIdentity(inst, Value::makeReg(it->second));
+                    alias_.set(inst.dst, *first);
+                    makeIdentity(inst, Value::makeReg(*first));
                     changed = true;
                 }
             }
@@ -404,6 +480,11 @@ class CSEPass : public Pass
         sweepNops(f);
         return changed;
     }
+
+  private:
+    ExprTable seen_;
+    /** Register -> the earlier register computing the same value. */
+    ir::RegTable<uint32_t> alias_;
 };
 
 //===--------------------------------------------------------------===//
@@ -427,10 +508,13 @@ struct AddrKey
     }
 };
 
-/** Resolve register address chains within one block. */
+/** Resolve register address chains within one block; reset() at
+ *  every block start. */
 class AddrResolver
 {
   public:
+    void reset(uint32_t numRegs) { map_.reset(numRegs); }
+
     void
     note(const Inst &inst)
     {
@@ -438,25 +522,24 @@ class AddrResolver
             return;
         switch (inst.op) {
           case Opcode::FrameAddr:
-            map_[inst.dst] = {AddrKey::Space::Frame, inst.object, 0};
+            map_.set(inst.dst, {AddrKey::Space::Frame, inst.object, 0});
             break;
           case Opcode::GlobalAddr:
-            map_[inst.dst] = {AddrKey::Space::Global, inst.object, 0};
+            map_.set(inst.dst, {AddrKey::Space::Global, inst.object, 0});
             break;
           case Opcode::Gep: {
             AddrKey base = resolve(inst.a);
             if (base.resolved() && inst.b.isImm()) {
                 base.offset += static_cast<int64_t>(inst.b.imm) *
                                static_cast<int64_t>(inst.imm);
-                map_[inst.dst] = base;
+                map_.set(inst.dst, base);
             }
             break;
           }
           case Opcode::Cast:
             if (inst.a.isReg()) {
-                auto it = map_.find(inst.a.reg);
-                if (it != map_.end())
-                    map_[inst.dst] = it->second;
+                if (const AddrKey *k = map_.find(inst.a.reg))
+                    map_.set(inst.dst, *k);
             }
             break;
           default:
@@ -469,12 +552,12 @@ class AddrResolver
     {
         if (!v.isReg())
             return {};
-        auto it = map_.find(v.reg);
-        return it == map_.end() ? AddrKey{} : it->second;
+        const AddrKey *k = map_.find(v.reg);
+        return k ? *k : AddrKey{};
     }
 
   private:
-    std::unordered_map<uint32_t, AddrKey> map_;
+    ir::RegTable<AddrKey> map_;
 };
 
 bool
@@ -492,20 +575,13 @@ class StoreForwardPass : public Pass
     {
         UBF_COV_HIT(covStoreFwd);
         bool changed = false;
-        struct Entry
-        {
-            AddrKey key;
-            uint64_t size;
-            Value value;  ///< from a Store
-            uint32_t loadedInto = 0; ///< from a previous Load
-        };
         for (BasicBlock &bb : f.blocks) {
-            AddrResolver resolver;
-            std::vector<Entry> entries;
-            auto clobberAll = [&] { entries.clear(); };
+            resolver_.reset(f.numRegs);
+            entries_.clear();
+            auto clobberAll = [&] { entries_.clear(); };
             auto clobberOverlap = [&](const AddrKey &k, uint64_t size) {
-                entries.erase(
-                    std::remove_if(entries.begin(), entries.end(),
+                entries_.erase(
+                    std::remove_if(entries_.begin(), entries_.end(),
                                    [&](const Entry &e) {
                                        return e.key.sameObject(k) &&
                                               rangesOverlap(e.key.offset,
@@ -513,27 +589,27 @@ class StoreForwardPass : public Pass
                                                             k.offset,
                                                             size);
                                    }),
-                    entries.end());
+                    entries_.end());
             };
             for (Inst &inst : bb.insts) {
-                resolver.note(inst);
+                resolver_.note(inst);
                 switch (inst.op) {
                   case Opcode::Store: {
-                    AddrKey key = resolver.resolve(inst.a);
+                    AddrKey key = resolver_.resolve(inst.a);
                     if (!key.resolved()) {
                         clobberAll();
                         break;
                     }
                     clobberOverlap(key, inst.imm);
-                    entries.push_back({key, inst.imm, inst.b, 0});
+                    entries_.push_back({key, inst.imm, inst.b, 0});
                     break;
                   }
                   case Opcode::Load: {
-                    AddrKey key = resolver.resolve(inst.a);
+                    AddrKey key = resolver_.resolve(inst.a);
                     if (!key.resolved())
                         break;
                     bool forwarded = false;
-                    for (Entry &e : entries) {
+                    for (Entry &e : entries_) {
                         if (!e.key.sameObject(key) ||
                             e.key.offset != key.offset ||
                             e.size != inst.imm)
@@ -556,7 +632,7 @@ class StoreForwardPass : public Pass
                         e.key = key;
                         e.size = inst.imm;
                         e.loadedInto = inst.dst;
-                        entries.push_back(e);
+                        entries_.push_back(e);
                     }
                     break;
                   }
@@ -569,12 +645,12 @@ class StoreForwardPass : public Pass
                   case Opcode::LifetimeStart:
                   case Opcode::LifetimeEnd: {
                     AddrKey k{AddrKey::Space::Frame, inst.object, 0};
-                    entries.erase(
-                        std::remove_if(entries.begin(), entries.end(),
+                    entries_.erase(
+                        std::remove_if(entries_.begin(), entries_.end(),
                                        [&](const Entry &e) {
                                            return e.key.sameObject(k);
                                        }),
-                        entries.end());
+                        entries_.end());
                     break;
                   }
                   default:
@@ -584,6 +660,19 @@ class StoreForwardPass : public Pass
         }
         return changed;
     }
+
+  private:
+    struct Entry
+    {
+        AddrKey key;
+        uint64_t size;
+        Value value;  ///< from a Store
+        uint32_t loadedInto = 0; ///< from a previous Load
+    };
+
+    AddrResolver resolver_;
+    /** What the current block knows about memory so far. */
+    std::vector<Entry> entries_;
 };
 
 class DSEPass : public Pass
@@ -606,20 +695,20 @@ class DSEPass : public Pass
     {
         bool changed = false;
         for (BasicBlock &bb : f.blocks) {
-            AddrResolver resolver;
+            resolver_.reset(f.numRegs);
             for (Inst &inst : bb.insts)
-                resolver.note(inst);
+                resolver_.note(inst);
             for (size_t i = 0; i < bb.insts.size(); i++) {
                 Inst &st = bb.insts[i];
                 if (st.op != Opcode::Store)
                     continue;
-                AddrKey key = resolver.resolve(st.a);
+                AddrKey key = resolver_.resolve(st.a);
                 if (!key.resolved())
                     continue;
                 for (size_t j = i + 1; j < bb.insts.size(); j++) {
                     const Inst &nx = bb.insts[j];
                     if (nx.op == Opcode::Store) {
-                        AddrKey k2 = resolver.resolve(nx.a);
+                        AddrKey k2 = resolver_.resolve(nx.a);
                         if (k2.resolved() &&
                             k2.sameObject(key) &&
                             k2.offset == key.offset &&
@@ -638,7 +727,7 @@ class DSEPass : public Pass
                         continue;
                     }
                     if (nx.op == Opcode::Load) {
-                        AddrKey k2 = resolver.resolve(nx.a);
+                        AddrKey k2 = resolver_.resolve(nx.a);
                         if (!k2.resolved() ||
                             (k2.sameObject(key) &&
                              rangesOverlap(k2.offset, nx.imm, key.offset,
@@ -657,6 +746,30 @@ class DSEPass : public Pass
         return changed;
     }
 
+    /** The frame object @p v's address chain roots at in the current
+     *  block, or -1. */
+    int64_t
+    rootOf(const Value &v) const
+    {
+        if (!v.isReg())
+            return -1;
+        const uint32_t *r = root_.find(v.reg);
+        return r ? static_cast<int64_t>(*r) : int64_t{-1};
+    }
+
+    /** Record where @p inst's destination roots: a FrameAddr at its
+     *  object, a Gep or Cast wherever its address operand does. */
+    void
+    noteRoot(const Inst &inst)
+    {
+        if (inst.op == Opcode::FrameAddr) {
+            root_.set(inst.dst, inst.object);
+        } else if (inst.op == Opcode::Gep || inst.op == Opcode::Cast) {
+            if (int64_t r = rootOf(inst.a); r >= 0)
+                root_.set(inst.dst, static_cast<uint32_t>(r));
+        }
+    }
+
     /**
      * Delete stores into frame objects whose address never escapes and
      * that are never read. This is the transform of Figure 3: a dead
@@ -666,43 +779,33 @@ class DSEPass : public Pass
     bool
     writeOnlyObjectDSE(Function &f)
     {
-        size_t n = f.frame.size();
-        std::vector<bool> escaped(n, false), loaded(n, false);
+        escaped_.assign(f.frame.size(), 0);
+        loaded_.assign(f.frame.size(), 0);
         // Root each register at a frame object where possible.
-        // Registers are block-local, so a per-block map suffices.
+        // Registers are block-local, so a per-block table suffices.
         for (BasicBlock &bb : f.blocks) {
-            std::unordered_map<uint32_t, uint32_t> root;
-            auto rootOf = [&](const Value &v) -> int64_t {
-                if (!v.isReg())
-                    return -1;
-                auto it = root.find(v.reg);
-                return it == root.end() ? int64_t{-1}
-                                      : static_cast<int64_t>(it->second);
-            };
+            root_.reset(f.numRegs);
             for (Inst &inst : bb.insts) {
                 switch (inst.op) {
                   case Opcode::FrameAddr:
-                    root[inst.dst] = inst.object;
-                    break;
                   case Opcode::Gep:
                   case Opcode::Cast:
-                    if (int64_t r = rootOf(inst.a); r >= 0)
-                        root[inst.dst] = static_cast<uint32_t>(r);
+                    noteRoot(inst);
                     break;
                   case Opcode::Load:
                     if (int64_t r = rootOf(inst.a); r >= 0)
-                        loaded[static_cast<size_t>(r)] = true;
+                        loaded_[static_cast<size_t>(r)] = 1;
                     break;
                   case Opcode::Store:
                     // Storing a rooted address escapes the object.
                     if (int64_t r = rootOf(inst.b); r >= 0)
-                        escaped[static_cast<size_t>(r)] = true;
+                        escaped_[static_cast<size_t>(r)] = 1;
                     break;
                   case Opcode::MemCopy:
                     if (int64_t r = rootOf(inst.a); r >= 0)
-                        loaded[static_cast<size_t>(r)] = true;
+                        loaded_[static_cast<size_t>(r)] = 1;
                     if (int64_t r = rootOf(inst.b); r >= 0)
-                        loaded[static_cast<size_t>(r)] = true;
+                        loaded_[static_cast<size_t>(r)] = 1;
                     break;
                   case Opcode::AsanCheck:
                   case Opcode::LifetimeStart:
@@ -713,7 +816,7 @@ class DSEPass : public Pass
                     // returns, arithmetic, logging) escapes the object.
                     forEachOperand(inst, [&](Value &v) {
                         if (int64_t r = rootOf(v); r >= 0)
-                            escaped[static_cast<size_t>(r)] = true;
+                            escaped_[static_cast<size_t>(r)] = 1;
                     });
                     break;
                   }
@@ -722,34 +825,29 @@ class DSEPass : public Pass
         }
         bool changed = false;
         for (BasicBlock &bb : f.blocks) {
-            std::unordered_map<uint32_t, uint32_t> root;
-            auto rootOf = [&](const Value &v) -> int64_t {
-                if (!v.isReg())
-                    return -1;
-                auto it = root.find(v.reg);
-                return it == root.end() ? int64_t{-1}
-                                      : static_cast<int64_t>(it->second);
-            };
+            root_.reset(f.numRegs);
             for (Inst &inst : bb.insts) {
-                if (inst.op == Opcode::FrameAddr) {
-                    root[inst.dst] = inst.object;
-                } else if (inst.op == Opcode::Gep ||
-                           inst.op == Opcode::Cast) {
-                    if (int64_t r = rootOf(inst.a); r >= 0)
-                        root[inst.dst] = static_cast<uint32_t>(r);
-                } else if (inst.op == Opcode::Store) {
+                if (inst.op == Opcode::Store) {
                     int64_t r = rootOf(inst.a);
-                    if (r >= 0 && !escaped[static_cast<size_t>(r)] &&
-                        !loaded[static_cast<size_t>(r)]) {
+                    if (r >= 0 && !escaped_[static_cast<size_t>(r)] &&
+                        !loaded_[static_cast<size_t>(r)]) {
                         UBF_COV_HIT(covDseWriteOnly);
                         inst.op = Opcode::Nop;
                         changed = true;
                     }
+                } else {
+                    noteRoot(inst);
                 }
             }
         }
         return changed;
     }
+
+    AddrResolver resolver_;
+    /** Register -> the frame object its address chain roots at. */
+    ir::RegTable<uint32_t> root_;
+    /** Per frame object of the current function. */
+    std::vector<uint8_t> escaped_, loaded_;
 };
 
 //===--------------------------------------------------------------===//
@@ -766,12 +864,12 @@ class DCEPass : public Pass
         bool changed = false;
         // Values may cross blocks (short-circuit/ternary lowering), so
         // use counts are function-scoped.
-        std::unordered_map<uint32_t, int> uses;
+        uses_.reset(f.numRegs);
         for (BasicBlock &bb : f.blocks) {
             for (Inst &inst : bb.insts) {
                 forEachOperand(inst, [&](Value &v) {
                     if (v.isReg())
-                        uses[v.reg]++;
+                        uses_.at(v.reg)++;
                 });
             }
         }
@@ -780,11 +878,11 @@ class DCEPass : public Pass
             for (auto it = bit->insts.rbegin(); it != bit->insts.rend();
                  ++it) {
                 Inst &inst = *it;
-                if (!isPure(inst) || !inst.dst || uses[inst.dst] > 0)
+                if (!isPure(inst) || !inst.dst || uses_.at(inst.dst) > 0)
                     continue;
                 forEachOperand(inst, [&](Value &v) {
                     if (v.isReg())
-                        uses[v.reg]--;
+                        uses_.at(v.reg)--;
                 });
                 inst.op = Opcode::Nop;
                 inst.dst = 0;
@@ -795,6 +893,10 @@ class DCEPass : public Pass
         sweepNops(f);
         return changed;
     }
+
+  private:
+    /** Register -> remaining uses in the current function. */
+    ir::RegTable<int> uses_;
 };
 
 //===--------------------------------------------------------------===//
@@ -811,9 +913,11 @@ class SimplifyCFGPass : public Pass
         bool changed = false;
         // Constant branches were already folded to Br by constfold;
         // thread trivial jump chains.
+        const uint32_t n = static_cast<uint32_t>(f.blocks.size());
         auto finalTarget = [&](uint32_t t) {
-            std::unordered_set<uint32_t> visited;
-            while (visited.insert(t).second) {
+            visited_.reset(n);
+            while (!visited_.contains(t)) {
+                visited_.set(t, true);
                 const BasicBlock &bb = f.blocks[t];
                 if (bb.insts.size() == 1 &&
                     bb.insts[0].op == Opcode::Br)
@@ -848,27 +952,25 @@ class SimplifyCFGPass : public Pass
         }
         // Prune unreachable blocks: their bodies are replaced with a
         // bare return, which deletes any UB they contained.
-        std::vector<bool> reachable(f.blocks.size(), false);
-        std::vector<uint32_t> work{0};
-        reachable[0] = true;
-        while (!work.empty()) {
-            uint32_t b = work.back();
-            work.pop_back();
+        reachable_.assign(n, 0);
+        work_.assign(1, 0);
+        reachable_[0] = 1;
+        while (!work_.empty()) {
+            uint32_t b = work_.back();
+            work_.pop_back();
             const Inst &term = f.blocks[b].insts.back();
             for (int k = 0; k < 2; k++) {
                 bool has = (term.op == Opcode::Br && k == 0) ||
                            term.op == Opcode::CondBr;
-                if (has && !reachable[term.targets[k]]) {
-                    reachable[term.targets[k]] = true;
-                    work.push_back(term.targets[k]);
+                if (has && !reachable_[term.targets[k]]) {
+                    reachable_[term.targets[k]] = 1;
+                    work_.push_back(term.targets[k]);
                 }
             }
         }
-        for (size_t b = 0; b < f.blocks.size(); b++) {
+        for (size_t b = 0; b < n; b++) {
             BasicBlock &bb = f.blocks[b];
-            if (reachable[b] || bb.insts.size() == 1)
-                continue;
-            if (bb.insts.size() == 1 && bb.insts[0].op == Opcode::Ret)
+            if (reachable_[b] || bb.insts.size() == 1)
                 continue;
             UBF_COV_HIT(covSimplifyUnreachable);
             Inst ret;
@@ -881,6 +983,12 @@ class SimplifyCFGPass : public Pass
         }
         return changed;
     }
+
+  private:
+    /** Blocks one jump-chain walk has passed through. */
+    ir::RegTable<bool> visited_;
+    std::vector<uint8_t> reachable_;
+    std::vector<uint32_t> work_;
 };
 
 //===--------------------------------------------------------------===//
@@ -894,63 +1002,41 @@ class LifetimeHoistPass : public Pass
     run(Module &, Function &f) override
     {
         UBF_COV_HIT(covHoist);
-        // Blocks that participate in a cycle (reach themselves).
-        size_t n = f.blocks.size();
-        auto succs = [&](uint32_t b) {
-            std::vector<uint32_t> out;
-            const Inst &term = f.blocks[b].insts.back();
-            if (term.op == Opcode::Br)
-                out.push_back(term.targets[0]);
-            if (term.op == Opcode::CondBr) {
-                out.push_back(term.targets[0]);
-                out.push_back(term.targets[1]);
-            }
-            return out;
-        };
-        std::vector<bool> cyclic(n, false);
-        for (uint32_t start = 0; start < n; start++) {
-            std::vector<bool> seen(n, false);
-            std::vector<uint32_t> work = succs(start);
-            while (!work.empty()) {
-                uint32_t b = work.back();
-                work.pop_back();
-                if (b == start) {
-                    cyclic[start] = true;
-                    break;
-                }
-                if (seen[b])
-                    continue;
-                seen[b] = true;
-                for (uint32_t s : succs(b))
-                    work.push_back(s);
-            }
-        }
+        const std::vector<uint8_t> &cyclic = cycles_.cyclicBlocks(f);
         // Small loop-scoped objects get hoisted to function scope:
         // delete their lifetime markers everywhere.
-        std::unordered_set<uint32_t> hoisted;
-        for (uint32_t b = 0; b < n; b++) {
+        hoisted_.assign(f.frame.size(), 0);
+        bool any = false;
+        for (size_t b = 0; b < f.blocks.size(); b++) {
             if (!cyclic[b])
                 continue;
             for (const Inst &inst : f.blocks[b].insts) {
                 if ((inst.op == Opcode::LifetimeStart ||
                      inst.op == Opcode::LifetimeEnd) &&
-                    f.frame[inst.object].size <= 8)
-                    hoisted.insert(inst.object);
+                    f.frame[inst.object].size <= 8) {
+                    hoisted_[inst.object] = 1;
+                    any = true;
+                }
             }
         }
-        if (hoisted.empty())
+        if (!any)
             return false;
         for (BasicBlock &bb : f.blocks) {
             for (Inst &inst : bb.insts) {
                 if ((inst.op == Opcode::LifetimeStart ||
                      inst.op == Opcode::LifetimeEnd) &&
-                    hoisted.count(inst.object))
+                    hoisted_[inst.object])
                     inst.op = Opcode::Nop;
             }
         }
         sweepNops(f);
         return true;
     }
+
+  private:
+    ir::CycleFinder cycles_;
+    /** Per frame object: are its lifetime markers deleted? */
+    std::vector<uint8_t> hoisted_;
 };
 
 } // namespace

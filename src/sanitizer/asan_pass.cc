@@ -1,6 +1,6 @@
 #include "sanitizer/sanitizer.h"
 
-#include <unordered_set>
+#include <algorithm>
 
 #include "sanitizer/pass_util.h"
 #include "support/coverage.h"
@@ -49,52 +49,68 @@ namespace {
  * Frame objects whose address is stored into a *global* (directly or
  * through a global pointer). Used by the LlvmAsanEscapedScopeNoPoison
  * defect: the buggy escape analysis concludes that locals escaping
- * into global state need no scope poisoning.
+ * into global state need no scope poisoning. One per runAsanPass
+ * invocation; its tables are reused for every block.
  */
-std::vector<bool>
-escapedFrameObjects(const Function &f)
+class FrameEscapes
 {
-    std::vector<bool> escaped(f.frame.size(), false);
-    for (const BasicBlock &bb : f.blocks) {
-        std::unordered_map<uint32_t, uint32_t> root;
-        std::unordered_set<uint32_t> globalAddrs;
-        auto rootOf = [&](const Value &v) -> int64_t {
-            if (!v.isReg())
-                return -1;
-            auto it = root.find(v.reg);
-            return it == root.end() ? int64_t{-1}
-                                    : static_cast<int64_t>(it->second);
-        };
-        for (const Inst &inst : bb.insts) {
-            switch (inst.op) {
-              case Opcode::FrameAddr:
-                root[inst.dst] = inst.object;
-                break;
-              case Opcode::GlobalAddr:
-                globalAddrs.insert(inst.dst);
-                break;
-              case Opcode::Gep:
-              case Opcode::Cast:
-                if (int64_t r = rootOf(inst.a); r >= 0)
-                    root[inst.dst] = static_cast<uint32_t>(r);
-                if (inst.a.isReg() && globalAddrs.count(inst.a.reg))
-                    globalAddrs.insert(inst.dst);
-                break;
-              case Opcode::Store:
-                if (int64_t r = rootOf(inst.b); r >= 0) {
-                    bool dest_global =
-                        inst.a.isReg() && globalAddrs.count(inst.a.reg);
-                    if (dest_global)
-                        escaped[static_cast<size_t>(r)] = true;
+  public:
+    /** escaped[o] for every frame object o of @p f; valid until the
+     *  next call. */
+    const std::vector<uint8_t> &
+    compute(const Function &f)
+    {
+        escaped_.assign(f.frame.size(), 0);
+        for (const BasicBlock &bb : f.blocks) {
+            root_.reset(f.numRegs);
+            globalAddrs_.reset(f.numRegs);
+            for (const Inst &inst : bb.insts) {
+                switch (inst.op) {
+                  case Opcode::FrameAddr:
+                    root_.set(inst.dst, inst.object);
+                    break;
+                  case Opcode::GlobalAddr:
+                    globalAddrs_.set(inst.dst, true);
+                    break;
+                  case Opcode::Gep:
+                  case Opcode::Cast:
+                    if (const uint32_t *r = rootOf(inst.a))
+                        root_.set(inst.dst, *r);
+                    if (isGlobalAddr(inst.a))
+                        globalAddrs_.set(inst.dst, true);
+                    break;
+                  case Opcode::Store:
+                    if (const uint32_t *r = rootOf(inst.b);
+                        r && isGlobalAddr(inst.a))
+                        escaped_[*r] = 1;
+                    break;
+                  default:
+                    break;
                 }
-                break;
-              default:
-                break;
             }
         }
+        return escaped_;
     }
-    return escaped;
-}
+
+  private:
+    const uint32_t *
+    rootOf(const Value &v) const
+    {
+        return v.isReg() ? root_.find(v.reg) : nullptr;
+    }
+
+    bool
+    isGlobalAddr(const Value &v) const
+    {
+        return v.isReg() && globalAddrs_.contains(v.reg);
+    }
+
+    /** Register -> the frame object its address chain roots at. */
+    ir::RegTable<uint32_t> root_;
+    /** Registers holding an address derived from a global. */
+    ir::RegTable<bool> globalAddrs_;
+    std::vector<uint8_t> escaped_;
+};
 
 } // namespace
 
@@ -119,6 +135,16 @@ runAsanPass(Module &m, const SanitizerContext &ctx)
     m.asanGlobals = true;
     m.asanHeap = true;
 
+    const bool adjacentStoreBug =
+        ctx.bugs.active(BugId::LlvmAsanAdjacentStoreNoCheck);
+    const bool escapedScopeBug =
+        ctx.bugs.active(BugId::LlvmAsanEscapedScopeNoPoison);
+    ir::CycleFinder cycles;
+    FrameEscapes escapes;
+    DefMap defs;
+    // Frame (2o) and global (2o + 1) objects already store-checked in
+    // the current block, for the adjacent-store bug.
+    ir::RegTable<bool> checkedStoreObjects;
     for (Function &f : m.functions) {
         // Stack redzones for source-level objects (compiler temps stay
         // plain, like spill slots in real ASan).
@@ -135,14 +161,16 @@ runAsanPass(Module &m, const SanitizerContext &ctx)
             }
         }
 
-        std::vector<bool> cyclic = cyclicBlocks(f);
-        std::vector<bool> escaped = escapedFrameObjects(f);
+        const std::vector<uint8_t> &cyclic = cycles.cyclicBlocks(f);
+        // Read only by the escaped-scope bug.
+        const std::vector<uint8_t> *escaped =
+            escapedScopeBug ? &escapes.compute(f) : nullptr;
+        const uint32_t numObjectKeys = static_cast<uint32_t>(
+            2 * std::max(f.frame.size(), m.globals.size()));
 
         for (BasicBlock &bb : f.blocks) {
-            DefMap defs;
-            // Frame objects already store-checked in this block (for
-            // the adjacent-store bug).
-            std::unordered_set<uint32_t> checkedStoreObjects;
+            defs.reset(f.numRegs);
+            checkedStoreObjects.reset(numObjectKeys);
             std::vector<Inst> out;
             out.reserve(bb.insts.size() * 2);
             SourceLoc block_first_loc =
@@ -255,16 +283,15 @@ runAsanPass(Module &m, const SanitizerContext &ctx)
                         return UINT32_MAX;
                     };
                     uint32_t okey = object_key(root);
-                    if (ctx.bugs.active(
-                            BugId::LlvmAsanAdjacentStoreNoCheck) &&
-                        okey != UINT32_MAX &&
-                        checkedStoreObjects.count(okey)) {
-                        ctx.fire(BugId::LlvmAsanAdjacentStoreNoCheck,
-                                 inst.loc);
-                        break;
+                    if (adjacentStoreBug && okey != UINT32_MAX) {
+                        if (checkedStoreObjects.contains(okey)) {
+                            ctx.fire(
+                                BugId::LlvmAsanAdjacentStoreNoCheck,
+                                inst.loc);
+                            break;
+                        }
+                        checkedStoreObjects.set(okey, true);
                     }
-                    if (okey != UINT32_MAX)
-                        checkedStoreObjects.insert(okey);
                     Value addr = inst.a;
                     if (ctx.bugs.active(
                             BugId::LlvmAsanCharPtrBaseChecked) &&
@@ -318,9 +345,7 @@ runAsanPass(Module &m, const SanitizerContext &ctx)
                         ctx.fire(BugId::GccAsanScopePoisonLoopRemoved);
                         continue; // drop the marker entirely
                     }
-                    if (ctx.bugs.active(
-                            BugId::LlvmAsanEscapedScopeNoPoison) &&
-                        escaped[inst.object]) {
+                    if (escapedScopeBug && (*escaped)[inst.object]) {
                         ctx.fire(BugId::LlvmAsanEscapedScopeNoPoison);
                         continue;
                     }

@@ -196,4 +196,14 @@ bugInfo(BugId id)
     return bugCatalog()[static_cast<size_t>(id)];
 }
 
+ActiveBugs::ActiveBugs(Vendor vendor, int version, OptLevel level)
+    : vendor_(vendor), level_(level)
+{
+    for (const BugInfo &b : bugCatalog()) {
+        if (b.vendor == vendor && version >= b.introducedVersion &&
+            optAtLeast(level, b.minLevel) && optAtLeast(b.maxLevel, level))
+            mask_ |= uint64_t{1} << static_cast<unsigned>(b.id);
+    }
+}
+
 } // namespace ubfuzz::san

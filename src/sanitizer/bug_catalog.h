@@ -119,33 +119,34 @@ const BugInfo &bugInfo(BugId id);
 
 /**
  * The set of catalog bugs active for one compiler configuration.
- * Passes consult this before each (mis)behaving decision.
+ * Passes consult this before each (mis)behaving decision, so the
+ * constructor evaluates every bug's gate once (vendor, version window,
+ * level band) and active() is a bit test. A default-constructed set
+ * is empty.
  */
 class ActiveBugs
 {
   public:
     ActiveBugs() = default;
 
-    ActiveBugs(Vendor vendor, int version, OptLevel level)
-        : vendor_(vendor), version_(version), level_(level)
-    {}
+    ActiveBugs(Vendor vendor, int version, OptLevel level);
 
     bool
     active(BugId id) const
     {
-        const BugInfo &b = bugInfo(id);
-        return b.vendor == vendor_ && version_ >= b.introducedVersion &&
-               optAtLeast(level_, b.minLevel) &&
-               optAtLeast(b.maxLevel, level_);
+        return (mask_ >> static_cast<unsigned>(id)) & 1;
     }
 
     Vendor vendor() const { return vendor_; }
     OptLevel level() const { return level_; }
 
   private:
+    static_assert(kNumBugs <= 64, "ActiveBugs packs the catalog in a word");
+
     Vendor vendor_ = Vendor::GCC;
-    int version_ = 0;
     OptLevel level_ = OptLevel::O0;
+    /** Bit i: BugId i is active. */
+    uint64_t mask_ = 0;
 };
 
 /** One defect actually influencing a compilation, with the source

@@ -2,42 +2,6 @@
 
 namespace ubfuzz::san {
 
-std::vector<bool>
-cyclicBlocks(const ir::Function &f)
-{
-    size_t n = f.blocks.size();
-    auto succs = [&](uint32_t b) {
-        std::vector<uint32_t> out;
-        const ir::Inst &term = f.blocks[b].insts.back();
-        if (term.op == ir::Opcode::Br)
-            out.push_back(term.targets[0]);
-        if (term.op == ir::Opcode::CondBr) {
-            out.push_back(term.targets[0]);
-            out.push_back(term.targets[1]);
-        }
-        return out;
-    };
-    std::vector<bool> cyclic(n, false);
-    for (uint32_t start = 0; start < n; start++) {
-        std::vector<bool> seen(n, false);
-        std::vector<uint32_t> work = succs(start);
-        while (!work.empty()) {
-            uint32_t b = work.back();
-            work.pop_back();
-            if (b == start) {
-                cyclic[start] = true;
-                break;
-            }
-            if (seen[b])
-                continue;
-            seen[b] = true;
-            for (uint32_t s : succs(b))
-                work.push_back(s);
-        }
-    }
-    return cyclic;
-}
-
 const ir::Inst *
 addressRoot(const DefMap &defs, const ir::Value &addr)
 {

@@ -1,28 +1,30 @@
 /**
  * @file
- * Small analyses shared by the sanitizer passes: in-block def chains
- * and cyclic-block detection.
+ * Small analyses shared by the sanitizer passes: in-block def chains.
  */
 
 #ifndef UBFUZZ_SANITIZER_PASS_UTIL_H
 #define UBFUZZ_SANITIZER_PASS_UTIL_H
 
-#include <unordered_map>
-#include <vector>
-
 #include "ir/ir.h"
+#include "ir/reg_table.h"
 
 namespace ubfuzz::san {
 
-/** Register -> defining instruction, within one basic block. */
+/**
+ * Register -> defining instruction, within one basic block. A pass
+ * invocation keeps one and calls reset() at every block start.
+ */
 class DefMap
 {
   public:
+    void reset(uint32_t numRegs) { defs_.reset(numRegs); }
+
     void
     note(const ir::Inst &inst)
     {
         if (inst.dst)
-            defs_[inst.dst] = &inst;
+            defs_.set(inst.dst, &inst);
     }
 
     const ir::Inst *
@@ -30,16 +32,13 @@ class DefMap
     {
         if (!v.isReg())
             return nullptr;
-        auto it = defs_.find(v.reg);
-        return it == defs_.end() ? nullptr : it->second;
+        const ir::Inst *const *d = defs_.find(v.reg);
+        return d ? *d : nullptr;
     }
 
   private:
-    std::unordered_map<uint32_t, const ir::Inst *> defs_;
+    ir::RegTable<const ir::Inst *> defs_;
 };
-
-/** Blocks that can reach themselves (participate in a loop). */
-std::vector<bool> cyclicBlocks(const ir::Function &f);
 
 /**
  * Walk an address chain (Gep/Cast) to its root instruction within the

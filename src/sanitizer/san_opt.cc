@@ -1,7 +1,6 @@
 #include "sanitizer/sanitizer.h"
 
-#include <unordered_map>
-#include <unordered_set>
+#include <algorithm>
 
 #include "sanitizer/pass_util.h"
 #include "support/coverage.h"
@@ -90,15 +89,25 @@ runSanOpt(Module &m, const SanitizerContext &ctx)
     int vi = ctx.bugs.vendor() == Vendor::LLVM ? 1 : 0;
     covRun[vi].hit();
 
+    DefMap defs;
+    // ASan duplicate elimination state, per block. Checked addresses
+    // are keyed by pointer provenance: "the pointer loaded from object
+    // X" — two derefs of the same pointer variable are the same check
+    // even when loads were not CSE'd. A block holds a handful of
+    // checks, so these are sets kept as plain vectors.
+    std::vector<uint64_t> checkedAddr;
+    std::vector<uint32_t> checkedGepBase;
+    auto contains = [](const auto &set, auto x) {
+        return std::find(set.begin(), set.end(), x) != set.end();
+    };
+    auto clearChecked = [&] {
+        checkedAddr.clear();
+        checkedGepBase.clear();
+    };
     for (Function &f : m.functions) {
         for (BasicBlock &bb : f.blocks) {
-            DefMap defs;
-            // ASan duplicate elimination state. Checked addresses are
-            // keyed by pointer provenance: "the pointer loaded from
-            // object X" — two derefs of the same pointer variable are
-            // the same check even when loads were not CSE'd.
-            std::unordered_set<uint64_t> checkedAddr;
-            std::unordered_set<uint32_t> checkedGepBase;
+            defs.reset(f.numRegs);
+            clearChecked();
             bool free_since_clear = false;
             int arith_checks_in_block = 0;
 
@@ -127,7 +136,7 @@ runSanOpt(Module &m, const SanitizerContext &ctx)
                         break;
                     uint64_t key = (addrKey(defs, inst.a) << 8) |
                                    (inst.imm & 0xFF);
-                    if (checkedAddr.count(key)) {
+                    if (contains(checkedAddr, key)) {
                         // A same-address, same-size check already ran.
                         // Correct unless a free() happened in between
                         // (the GccAsanSanOptDupAcrossFree defect keeps
@@ -163,16 +172,17 @@ runSanOpt(Module &m, const SanitizerContext &ctx)
                             BugId::LlvmAsanSanOptSameBaseRemoved) &&
                         adef && adef->op == Opcode::Gep &&
                         adef->a.isReg() &&
-                        checkedGepBase.count(adef->a.reg)) {
+                        contains(checkedGepBase, adef->a.reg)) {
                         ctx.fire(BugId::LlvmAsanSanOptSameBaseRemoved,
                                  inst.loc);
                         drop = true;
                         break;
                     }
-                    checkedAddr.insert(key);
+                    checkedAddr.push_back(key);
                     if (adef && adef->op == Opcode::Gep &&
-                        adef->a.isReg())
-                        checkedGepBase.insert(adef->a.reg);
+                        adef->a.isReg() &&
+                        !contains(checkedGepBase, adef->a.reg))
+                        checkedGepBase.push_back(adef->a.reg);
                     break;
                   }
                   case Opcode::UbsanArith: {
@@ -182,16 +192,6 @@ runSanOpt(Module &m, const SanitizerContext &ctx)
                         covStaticSafe[vi].hit();
                         drop = true;
                         break;
-                    }
-                    if (ctx.bugs.active(
-                            BugId::
-                                GccUbsanSanOptWidenedResultRemoved)) {
-                        // Find the guarded Bin (the next instruction
-                        // in the input stream) and test whether its
-                        // result is immediately widened.
-                        // The ubsan pass emits the check directly
-                        // before its Bin, so peek ahead.
-                        // (Handled below via lookahead.)
                     }
                     arith_checks_in_block++;
                     if (ctx.bugs.active(
@@ -212,35 +212,29 @@ runSanOpt(Module &m, const SanitizerContext &ctx)
                     if (verdict == 1) {
                         covStaticSafe[vi].hit();
                         drop = true;
-                        }
+                    }
                     break;
                   }
                   case Opcode::Store: {
                     // A store may overwrite a pointer variable and
-                    // stale the provenance-keyed cache. Type-based
-                    // reasoning keeps the cache alive for narrow
-                    // stores (they cannot hold a pointer).
+                    // stale the provenance-keyed cache: a store to a
+                    // variable slot forgets that variable's checks of
+                    // sizes 0-8, any other wide store forgets them
+                    // all. Type-based reasoning keeps the cache alive
+                    // for narrow stores (they cannot hold a pointer).
                     const Inst *dest = defs.def(inst.a);
-                    if (dest && dest->op == Opcode::FrameAddr) {
-                        checkedAddr.erase(
-                            ((0x1000000000ULL | dest->object) << 8) |
-                            (8 & 0xFF));
-                        for (int sz = 0; sz < 9; sz++)
-                            checkedAddr.erase(
-                                ((0x1000000000ULL | dest->object)
-                                 << 8) |
-                                static_cast<uint64_t>(sz));
-                    } else if (dest &&
-                               dest->op == Opcode::GlobalAddr) {
-                        for (int sz = 0; sz < 9; sz++)
-                            checkedAddr.erase(
-                                ((0x2000000000ULL | dest->object)
-                                 << 8) |
-                                static_cast<uint64_t>(sz));
-                    } else if (inst.imm >= 8) {
-                        checkedAddr.clear();
-                        checkedGepBase.clear();
-                    }
+                    auto forget = [&](uint64_t provenance) {
+                        std::erase_if(checkedAddr, [&](uint64_t k) {
+                            return (k >> 8) == provenance &&
+                                   (k & 0xFF) <= 8;
+                        });
+                    };
+                    if (dest && dest->op == Opcode::FrameAddr)
+                        forget(0x1000000000ULL | dest->object);
+                    else if (dest && dest->op == Opcode::GlobalAddr)
+                        forget(0x2000000000ULL | dest->object);
+                    else if (inst.imm >= 8)
+                        clearChecked();
                     break;
                   }
                   case Opcode::LifetimeStart:
@@ -259,8 +253,7 @@ runSanOpt(Module &m, const SanitizerContext &ctx)
                         // Defect: the check cache survives free().
                         free_since_clear = true;
                     } else {
-                        checkedAddr.clear();
-                        checkedGepBase.clear();
+                        clearChecked();
                         free_since_clear = false;
                     }
                     break;

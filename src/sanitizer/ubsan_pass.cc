@@ -1,8 +1,5 @@
 #include "sanitizer/sanitizer.h"
 
-#include <unordered_map>
-#include <unordered_set>
-
 #include "sanitizer/pass_util.h"
 #include "support/coverage.h"
 
@@ -110,9 +107,10 @@ runUbsanPass(Module &m, const SanitizerContext &ctx)
     int vi = ctx.bugs.vendor() == Vendor::LLVM ? 1 : 0;
     covRun[vi].hit();
 
+    DefMap defs;
     for (Function &f : m.functions) {
         for (BasicBlock &bb : f.blocks) {
-            DefMap defs;
+            defs.reset(f.numRegs);
             std::vector<Inst> out;
             out.reserve(bb.insts.size() * 2);
             for (size_t idx = 0; idx < bb.insts.size(); idx++) {

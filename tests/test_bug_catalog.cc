@@ -214,5 +214,37 @@ TEST(Catalog, ActivityIsMonotoneInVersion)
     }
 }
 
+/** ActiveBugs answers from a mask built once per configuration; the
+ *  mask must agree with the catalog's gate everywhere, including one
+ *  version past either end of the release window. */
+TEST(Catalog, ActiveBugsMatchesTheCatalogPredicate)
+{
+    size_t active_pairs = 0;
+    for (Vendor v : {Vendor::GCC, Vendor::LLVM}) {
+        for (int version = firstStableVersion(v) - 1;
+             version <= trunkVersion(v) + 1; version++) {
+            for (OptLevel l : kAllOptLevels) {
+                ActiveBugs bugs(v, version, l);
+                EXPECT_EQ(bugs.vendor(), v);
+                EXPECT_EQ(bugs.level(), l);
+                for (const BugInfo &b : bugCatalog()) {
+                    bool expected = b.vendor == v &&
+                                    version >= b.introducedVersion &&
+                                    optAtLeast(l, b.minLevel) &&
+                                    optAtLeast(b.maxLevel, l);
+                    EXPECT_EQ(bugs.active(b.id), expected)
+                        << b.name << " " << vendorName(v) << "-"
+                        << version << " " << optLevelName(l);
+                    active_pairs += expected ? 1 : 0;
+                }
+            }
+        }
+    }
+    EXPECT_GT(active_pairs, 0u);
+    // A default-constructed set (no configuration) enables nothing.
+    for (const BugInfo &b : bugCatalog())
+        EXPECT_FALSE(ActiveBugs().active(b.id)) << b.name;
+}
+
 } // namespace
 } // namespace ubfuzz::san

@@ -5,6 +5,7 @@
  * (the "optimizers assume no UB" behaviour of §1 Challenge 2).
  */
 
+#include <functional>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include "frontend/parser.h"
 #include "generator/generator.h"
 #include "ir/lowering.h"
+#include "ir/reg_table.h"
 #include "opt/pass.h"
 #include "vm/vm.h"
 
@@ -242,6 +244,265 @@ int main(void) {
     size_t markers_after = countOp(m, ir::Opcode::LifetimeStart) +
                            countOp(m, ir::Opcode::LifetimeEnd);
     EXPECT_LT(markers_after, markers_before);
+}
+
+//===--------------------------------------------------------------===//
+// Scratch resets: hand-built IR
+//===--------------------------------------------------------------===//
+
+using ir::Opcode;
+using ir::Value;
+
+Value
+reg(uint32_t r)
+{
+    return Value::makeReg(r);
+}
+
+Value
+imm(uint64_t x)
+{
+    return Value::makeImm(x);
+}
+
+ir::Inst
+inst(Opcode op, uint32_t dst = 0, Value a = {}, Value b = {},
+     uint64_t immediate = 0)
+{
+    ir::Inst i;
+    i.op = op;
+    i.dst = dst;
+    i.a = a;
+    i.b = b;
+    i.imm = immediate;
+    if (op == Opcode::Load)
+        i.kind = ast::ScalarKind::S32;
+    return i;
+}
+
+ir::Inst
+br(uint32_t target)
+{
+    ir::Inst i = inst(Opcode::Br);
+    i.targets[0] = target;
+    return i;
+}
+
+/** A void function with one 8-byte frame object and @p blocks. */
+ir::Function
+makeFunction(std::vector<std::vector<ir::Inst>> blocks, uint32_t numRegs)
+{
+    ir::Function f;
+    f.name = "f" + std::to_string(numRegs);
+    f.frame.push_back({"slot", 8, 8, false, 0, 0});
+    for (auto &insts : blocks) {
+        ir::BasicBlock bb;
+        bb.id = static_cast<uint32_t>(f.blocks.size());
+        bb.insts = std::move(insts);
+        f.blocks.push_back(std::move(bb));
+    }
+    f.numRegs = numRegs;
+    return f;
+}
+
+ir::Module
+makeModule(std::vector<ir::Function> functions)
+{
+    ir::Module m;
+    m.functions = std::move(functions);
+    m.mainIndex = 0;
+    return m;
+}
+
+/** Run one pass object over every function, in order, as runPasses
+ *  does: the object's scratch carries over from function to function. */
+void
+runOne(PassKind kind, ir::Module &m)
+{
+    auto pass = createPass(kind);
+    for (ir::Function &f : m.functions)
+        pass->run(m, f);
+}
+
+/**
+ * The passes keep their per-block facts in tables that outlive the
+ * block (and the function). Each row plants a fact in one block or
+ * function and checks that the next block or function, whose register
+ * ids overlap, does not see it.
+ */
+TEST(Opt, PerBlockFactsStayInTheirBlock)
+{
+    const Value none;
+    struct Case
+    {
+        const char *name;
+        PassKind pass;
+        ir::Module m;
+        std::function<void(const ir::Module &)> check;
+    };
+    std::vector<Case> cases;
+    cases.push_back(
+        {"constfold: a block-1 use of a block-0 Const stays a register",
+         PassKind::ConstFold,
+         makeModule({makeFunction(
+             {{inst(Opcode::Const, 1, none, none, 5), br(1)},
+              {inst(Opcode::Checksum, 0, reg(1)), inst(Opcode::Ret)}},
+             2)}),
+         [](const ir::Module &m) {
+             const ir::Inst &use = m.functions[0].blocks[1].insts[0];
+             EXPECT_TRUE(use.a.isReg());
+             EXPECT_EQ(use.a.reg, 1u);
+         }});
+    cases.push_back(
+        {"cse: identical Bins in two blocks are not merged",
+         PassKind::CSE,
+         makeModule({makeFunction(
+             {{inst(Opcode::Bin, 1, imm(2), imm(3)),
+               inst(Opcode::Checksum, 0, reg(1)), br(1)},
+              {inst(Opcode::Bin, 2, imm(2), imm(3)),
+               inst(Opcode::Checksum, 0, reg(2)), inst(Opcode::Ret)}},
+             3)}),
+         [](const ir::Module &m) {
+             const ir::BasicBlock &bb = m.functions[0].blocks[1];
+             EXPECT_EQ(bb.insts[0].op, Opcode::Bin);
+             EXPECT_EQ(bb.insts[1].a.reg, 2u);
+         }});
+    cases.push_back(
+        {"peephole: a block-1 use of a block-0 Bin is not reassociated",
+         PassKind::PeepholeLLVM,
+         makeModule({makeFunction(
+             {{inst(Opcode::FrameAddr, 2),
+               inst(Opcode::Load, 1, reg(2), none, 4),
+               inst(Opcode::Bin, 3, reg(1), imm(3)), br(1)},
+              {inst(Opcode::Bin, 4, reg(3), imm(4)),
+               inst(Opcode::Checksum, 0, reg(4)),
+               inst(Opcode::Bin, 5, reg(4), imm(5)),
+               inst(Opcode::Checksum, 0, reg(5)), inst(Opcode::Ret)}},
+             6)}),
+         [](const ir::Module &m) {
+             // r3 has no definition in block 1 (its block-0 index
+             // would name r5's Bin there).
+             const ir::Inst &add = m.functions[0].blocks[1].insts[0];
+             EXPECT_EQ(add.a.reg, 3u);
+             EXPECT_EQ(add.b.imm, 4u);
+         }});
+    cases.push_back(
+        {"storeforward: a block-0 store and address stay in block 0",
+         PassKind::StoreForward,
+         makeModule({makeFunction(
+             {{inst(Opcode::FrameAddr, 1),
+               inst(Opcode::Store, 0, reg(1), imm(42), 4), br(1)},
+              {inst(Opcode::FrameAddr, 2),
+               inst(Opcode::Load, 3, reg(2), none, 4),
+               inst(Opcode::Store, 0, reg(1), imm(7), 4),
+               inst(Opcode::Load, 4, reg(1), none, 4),
+               inst(Opcode::Checksum, 0, reg(3)),
+               inst(Opcode::Checksum, 0, reg(4)), inst(Opcode::Ret)}},
+             5)}),
+         [](const ir::Module &m) {
+             // Block 1 cannot resolve r1, so neither load forwards.
+             const ir::BasicBlock &bb = m.functions[0].blocks[1];
+             EXPECT_EQ(bb.insts[1].op, Opcode::Load);
+             EXPECT_EQ(bb.insts[3].op, Opcode::Load);
+         }});
+    cases.push_back(
+        {"dce: function 0's uses do not keep function 1's r1 alive",
+         PassKind::DCE,
+         makeModule({makeFunction({{inst(Opcode::Const, 1, none, none, 5),
+                                    inst(Opcode::Checksum, 0, reg(1)),
+                                    inst(Opcode::Ret)}},
+                                  2),
+                     makeFunction({{inst(Opcode::Const, 1, none, none, 9),
+                                    inst(Opcode::Ret)}},
+                                  2)}),
+         [](const ir::Module &m) {
+             EXPECT_EQ(m.functions[0].blocks[0].insts.size(), 3u);
+             EXPECT_EQ(m.functions[1].blocks[0].insts.size(), 1u);
+         }});
+    for (Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        runOne(c.pass, c.m);
+        c.check(c.m);
+    }
+
+    // Every pass: function 1 comes out the same whether or not the
+    // pass object ran on function 0 first. Function 0 defines a Const,
+    // a Bin and an address under ids that function 1 reuses for a
+    // Load, an identical Bin and an unused Const.
+    auto f0 = [&] {
+        return makeFunction(
+            {{inst(Opcode::FrameAddr, 1),
+              inst(Opcode::Const, 2, none, none, 5),
+              inst(Opcode::Store, 0, reg(1), reg(2), 4),
+              inst(Opcode::Bin, 3, imm(2), imm(3)),
+              inst(Opcode::Checksum, 0, reg(3)),
+              inst(Opcode::Load, 4, reg(1), none, 4),
+              inst(Opcode::Checksum, 0, reg(4)),
+              inst(Opcode::Const, 6, none, none, 1),
+              inst(Opcode::Checksum, 0, reg(6)), inst(Opcode::Ret)}},
+            8);
+    };
+    auto f1 = [&] {
+        return makeFunction(
+            {{inst(Opcode::FrameAddr, 1),
+              inst(Opcode::Load, 2, reg(1), none, 4),
+              inst(Opcode::Bin, 3, reg(2), imm(1)),
+              inst(Opcode::Bin, 5, imm(2), imm(3)),
+              inst(Opcode::Checksum, 0, reg(3)),
+              inst(Opcode::Checksum, 0, reg(5)),
+              inst(Opcode::Const, 4, none, none, 9),
+              inst(Opcode::Bin, 6, reg(2), imm(2)), inst(Opcode::Ret)}},
+            7);
+    };
+    for (PassKind kind :
+         {PassKind::ConstFold, PassKind::PeepholeGCC,
+          PassKind::PeepholeLLVM, PassKind::CSE, PassKind::StoreForward,
+          PassKind::DSE, PassKind::DCE, PassKind::SimplifyCFG,
+          PassKind::LifetimeHoist}) {
+        ir::Module both = makeModule({f0(), f1()});
+        ir::Module alone = makeModule({f1()});
+        runOne(kind, both);
+        runOne(kind, alone);
+        ir::Module second = makeModule({both.functions[1]});
+        EXPECT_EQ(ir::printModule(second), ir::printModule(alone))
+            << "pass " << static_cast<int>(kind);
+    }
+}
+
+TEST(RegTable, ResetForgetsEntriesAcrossTheEpochWrap)
+{
+    // An 8-bit stamp wraps every 255 resets. An entry written once, in
+    // the first epoch, must stay forgotten when the epoch comes round
+    // again, and an id past the reset size grows the table.
+    ir::RegTable<int, uint8_t> t;
+    t.reset(4);
+    t.set(3, 42);
+    ASSERT_EQ(*t.find(3), 42);
+    for (int round = 0; round < 600; round++) {
+        t.reset(4);
+        ASSERT_FALSE(t.contains(3)) << "round " << round;
+        t.set(static_cast<uint32_t>(round % 3), round);
+        EXPECT_EQ(*t.find(static_cast<uint32_t>(round % 3)), round);
+        EXPECT_EQ(++t.at(100), 1) << "round " << round;
+    }
+}
+
+TEST(CycleFinder, MarksExactlyTheBlocksOnALoop)
+{
+    // 0 -> 1 -> 2 -> {1, 3}; 3 returns. Then a one-block function,
+    // to check that the reused buffers hold nothing over.
+    ir::Inst cond = inst(Opcode::CondBr, 0, reg(1));
+    cond.targets[0] = 1;
+    cond.targets[1] = 3;
+    ir::Function loop = makeFunction(
+        {{br(1)}, {br(2)}, {inst(Opcode::Const, 1), cond},
+         {inst(Opcode::Ret)}},
+        2);
+    ir::Function flat = makeFunction({{inst(Opcode::Ret)}}, 1);
+    ir::CycleFinder finder;
+    EXPECT_EQ(finder.cyclicBlocks(loop),
+              (std::vector<uint8_t>{0, 1, 1, 0}));
+    EXPECT_EQ(finder.cyclicBlocks(flat), (std::vector<uint8_t>{0}));
 }
 
 /** Pipelines at every (vendor, level) preserve semantics of valid

@@ -2,6 +2,7 @@
  * @file
  * Pass-pipeline tests: the Figure 2 pipeline reproduces pinned
  * execution-key goldens over a standard seed mix, plain and hardened,
+ * and over the UB programs of that mix with their compile logs,
  * binary keys partition that mix exactly as execution keys do, each
  * hardening family runs once per module, and the hardening passes are
  * silent until a FaultPlan is armed.
@@ -16,7 +17,9 @@
 #include "frontend/parser.h"
 #include "generator/generator.h"
 #include "harden/harden.h"
+#include "oracle/oracle.h"
 #include "support/serialize.h"
+#include "ubgen/ubgen.h"
 #include "vm/vm.h"
 
 namespace ubfuzz {
@@ -115,6 +118,50 @@ TEST(Passes, HardenedPipelinesMatchPinnedKeys)
                                harden::kCfgSignature,
                                harden::kAllFamilies}),
               0xe42b69d37eacaec9ULL);
+}
+
+TEST(Passes, UBProgramMatrixMatchesPinnedKeys)
+{
+    // The goldens above compile only safe programs, which never reach
+    // the bug-gated branches of the sanitizer passes and their check
+    // optimizer. This one compiles the UB programs of the same seeds
+    // under the whole testing matrix of their kinds, the way the
+    // campaign does, and pins every binary together with its compile
+    // log: which injected bugs fired, and where.
+    support::ByteWriter fold;
+    size_t binaries = 0;
+    std::set<san::BugId> fired;
+    Rng rng(20240427);
+    for (uint64_t seed = 1; seed <= 6; seed++) {
+        gen::GeneratorConfig gc;
+        gc.seed = seed;
+        auto prog = gen::generateProgram(gc);
+        ubgen::UBGenerator ubg(*prog);
+        ASSERT_TRUE(ubg.profiled()) << "seed " << seed;
+        for (const ubgen::UBProgram &ub : ubg.generateAll(rng, 4)) {
+            ast::PrintedProgram printed = ast::printProgram(*ub.program);
+            compiler::CompilationCache cache(*ub.program, printed);
+            for (SanitizerKind s : ubgen::sanitizersFor(ub.kind)) {
+                for (const CompilerConfig &c : oracle::testingMatrix(s)) {
+                    Binary b = cache.compile(c);
+                    binaries++;
+                    std::string key = ir::executionKey(b.module);
+                    fold.u64(support::fnv1a(key));
+                    fold.u64(key.size());
+                    for (const san::BugFiring &f : b.log.firings) {
+                        fired.insert(f.id);
+                        fold.u64(static_cast<uint64_t>(f.id));
+                        fold.i32(f.loc.line);
+                        fold.i32(f.loc.offset);
+                    }
+                }
+            }
+        }
+    }
+    // The mix must exercise the injected bugs, not just compile.
+    EXPECT_GT(binaries, 1000u);
+    EXPECT_GE(fired.size(), 15u);
+    EXPECT_EQ(support::fnv1a(fold.data()), 0x958987aea96d92daULL);
 }
 
 TEST(Passes, BinaryKeysPartitionLikeExecutionKeys)
