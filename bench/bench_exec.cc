@@ -6,11 +6,14 @@
  *   ./build/bench/bench_exec [--runs N]
  *
  * Two scenarios over the same compiled binaries:
- *  - unbatched: vm::execute per run — every run rebuilds the machine
- *    (stack arena + two shadow planes, 0xAA fill) from scratch;
- *  - batched: one vm::Machine, reset() between runs — the construction
- *    cost is paid once and each reset restores only the bytes the
- *    previous run dirtied.
+ *  - unbatched: vm::execute per run — every run builds a machine from
+ *    scratch: it reserves the stack arena and its two shadow planes,
+ *    fills them (0xAA, unpoisoned, defined) as far as the run reaches,
+ *    and translates the binary into a fresh machine-private cache;
+ *  - batched: one vm::Machine, reset() between runs — the arena stays
+ *    filled as far as earlier runs reached, each reset restores only
+ *    the bytes the previous run dirtied, and the translation is
+ *    cached.
  *
  * Also runs one real differential matrix through an ExecutionPlan and
  * prints the engine counters, so the dedup-skip behavior is visible

@@ -14,31 +14,40 @@
 #define UBFUZZ_AST_PRINTER_H
 
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "ast/ast.h"
 #include "support/source_loc.h"
 
 namespace ubfuzz::ast {
 
-/** nodeId -> (line, offset) for a particular printing of a program. */
+/**
+ * nodeId -> (line, offset) for a particular printing of a program: a
+ * vector indexed by node id. Ids are dense from 1 per ASTContext (the
+ * property ASTContext's own id index relies on), so the map is as
+ * large as the program and a lookup is one bounds check and a load.
+ */
 class SourceMap
 {
   public:
-    void set(uint32_t nodeId, SourceLoc loc) { locs_[nodeId] = loc; }
+    void
+    set(uint32_t nodeId, SourceLoc loc)
+    {
+        if (nodeId >= locs_.size())
+            locs_.resize(nodeId + 1);
+        locs_[nodeId] = loc;
+    }
 
     /** Location of a node; invalid SourceLoc if not recorded. */
     SourceLoc
     loc(uint32_t nodeId) const
     {
-        auto it = locs_.find(nodeId);
-        return it == locs_.end() ? SourceLoc{} : it->second;
+        return nodeId < locs_.size() ? locs_[nodeId] : SourceLoc{};
     }
 
-    size_t size() const { return locs_.size(); }
-
   private:
-    std::unordered_map<uint32_t, SourceLoc> locs_;
+    /** Unrecorded ids hold the invalid default SourceLoc. */
+    std::vector<SourceLoc> locs_;
 };
 
 /** The text of a program plus the node-location map for that text. */

@@ -150,7 +150,7 @@ class DupRewriter
                     escape(inst.a);
                     escape(inst.b);
                     escape(inst.c);
-                    for (const Value &arg : inst.args)
+                    for (const Value &arg : f_.argsOf(inst))
                         escape(arg);
                     break;
                 }
@@ -388,7 +388,7 @@ class DupRewriter
                 break;
               }
               case Opcode::Call: {
-                for (const Value &arg : inst.args)
+                for (const Value &arg : f_.argsOf(inst))
                     checkValue(out, arg, inst.loc);
                 out.push_back(inst);
                 if (inst.dst) {

@@ -157,8 +157,15 @@ valueText(const Value &v)
     return "_";
 }
 
+/** Does call @p i's argument slice lie inside @p f's pool? */
+bool
+argsInPool(const Function &f, const Inst &i)
+{
+    return uint64_t{i.argBegin} + i.argCount <= f.callArgs.size();
+}
+
 void
-printInst(std::ostringstream &os, const Inst &i)
+printInst(std::ostringstream &os, const Function &f, const Inst &i)
 {
     os << "    ";
     if (i.dst)
@@ -173,8 +180,12 @@ printInst(std::ostringstream &os, const Inst &i)
         os << ", " << valueText(i.b);
     if (!i.c.isNone())
         os << ", " << valueText(i.c);
-    for (const Value &arg : i.args)
-        os << ", " << valueText(arg);
+    if (argsInPool(f, i)) {
+        for (const Value &arg : f.argsOf(i))
+            os << ", " << valueText(arg);
+    } else {
+        os << ", args out of range";
+    }
     if (i.op == Opcode::Br)
         os << " -> bb" << i.targets[0];
     if (i.op == Opcode::CondBr)
@@ -222,7 +233,7 @@ printModule(const Module &m)
         for (const BasicBlock &bb : f.blocks) {
             os << "  bb" << bb.id << ":\n";
             for (const Inst &inst : bb.insts)
-                printInst(os, inst);
+                printInst(os, f, inst);
         }
     }
     return os.str();
@@ -303,8 +314,8 @@ serializeExecutionKey(const Module &m, Sink &sink)
                 u64(i.object);
                 u64(i.flag);
                 u64(i.bound);
-                u64(i.args.size());
-                for (const Value &a : i.args)
+                u64(i.argCount);
+                for (const Value &a : f.argsOf(i))
                     val(a);
                 u64(static_cast<uint64_t>(
                     static_cast<uint32_t>(i.loc.line)));
@@ -524,10 +535,13 @@ verifyModule(const Module &m)
                 auto in_range = [&](const Value &v) {
                     return !v.isReg() || v.reg < f.numRegs;
                 };
+                // translate and the VM index the pool unchecked too.
+                if (!argsInPool(f, inst))
+                    return fail("call arguments out of range", &inst);
+                const std::span<const Value> args = f.argsOf(inst);
                 if (inst.dst >= f.numRegs || !in_range(inst.a) ||
                     !in_range(inst.b) || !in_range(inst.c) ||
-                    !std::all_of(inst.args.begin(), inst.args.end(),
-                                 in_range))
+                    !std::all_of(args.begin(), args.end(), in_range))
                     return fail("register out of range", &inst);
                 if (inst.op == Opcode::Call &&
                     inst.callee >= m.functions.size())
@@ -558,7 +572,7 @@ verifyModule(const Module &m)
                     return fail("use of undefined register in bb" +
                                     std::to_string(bb.id),
                                 &inst);
-                for (const Value &arg : inst.args)
+                for (const Value &arg : f.argsOf(inst))
                     if (!check_use(arg))
                         return fail("use of undefined arg register",
                                     &inst);

@@ -21,7 +21,9 @@
 #define UBFUZZ_IR_IR_H
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "ast/ast.h"
@@ -125,7 +127,14 @@ struct Value
     }
 };
 
-/** One IR instruction. A deliberately fat struct: simplicity first. */
+/**
+ * One IR instruction: a flat, trivially copyable record, so copying a
+ * block (module clones, pass rewrites) copies plain bytes and freeing
+ * one is a single free. Opcodes read only the fields they need. A
+ * call's argument list, the one operand list of variable length,
+ * lives in its function's `callArgs` pool; read it through
+ * Function::argsOf.
+ */
 struct Inst
 {
     Opcode op = Opcode::Nop;
@@ -147,7 +156,10 @@ struct Inst
     bool flag = false;
     /** Static array bound for Gep from a direct array subscript. */
     uint64_t bound = 0;
-    std::vector<Value> args;
+    /** Call: the arguments are Function::callArgs[argBegin,
+     *  argBegin + argCount). argCount is 0 for every other opcode. */
+    uint32_t argBegin = 0;
+    uint32_t argCount = 0;
     /** Debug metadata: source (line, offset). */
     SourceLoc loc;
 
@@ -175,6 +187,9 @@ struct Inst
         return op >= Opcode::AsanCheck && op <= Opcode::HardenCheck;
     }
 };
+
+static_assert(std::is_trivially_copyable_v<Inst>,
+              "block copies and module clones copy instructions as bytes");
 
 struct BasicBlock
 {
@@ -229,11 +244,33 @@ struct Function
     std::vector<FrameObject> frame;
     std::vector<BasicBlock> blocks;
     uint32_t numRegs = 1; ///< register ids are 1..numRegs-1 (0 invalid)
+    /**
+     * Argument pool of this function's calls: each Call names its
+     * slice by (argBegin, argCount). Lowering appends; passes rewrite
+     * entries in place. No pass moves a call between functions, so
+     * every slice stays valid under block rewrites; a deleted call
+     * leaves its slice orphaned, which nothing reads.
+     */
+    std::vector<Value> callArgs;
 
     uint32_t
     newReg()
     {
         return numRegs++;
+    }
+
+    /** The arguments of call @p inst (an instruction of this
+     *  function). Valid until callArgs next grows. */
+    std::span<Value>
+    argsOf(const Inst &inst)
+    {
+        return {callArgs.data() + inst.argBegin, inst.argCount};
+    }
+
+    std::span<const Value>
+    argsOf(const Inst &inst) const
+    {
+        return {callArgs.data() + inst.argBegin, inst.argCount};
     }
 };
 
@@ -410,8 +447,9 @@ class CycleFinder
 /**
  * Structural sanity check: every block non-empty and ending in its
  * only terminator, branch targets, callees and frame/global objects in
- * range, every register the VM indexes (operands, call arguments and
- * the destination) below the function's numRegs, and every used
+ * range, every call's argument slice inside its function's callArgs,
+ * every register the VM indexes (operands, call arguments and the
+ * destination) below the function's numRegs, and every used
  * register defined somewhere in the function (function-scoped, since
  * short-circuit and ternary values cross blocks). @return empty string
  * when the module is well-formed, else a description of the first

@@ -1134,8 +1134,10 @@ class Lowerer
         call.kind = callee->retType()->isVoid()
                         ? ScalarKind::Void
                         : scalarKindOf(callee->retType());
+        call.argBegin = static_cast<uint32_t>(fn_->callArgs.size());
+        call.argCount = static_cast<uint32_t>(args.size());
         for (const RV &a : args)
-            call.args.push_back(a.v);
+            fn_->callArgs.push_back(a.v);
         call.loc = loc;
         if (call.kind == ScalarKind::Void) {
             emit(std::move(call));

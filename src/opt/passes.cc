@@ -34,15 +34,16 @@ UBF_COV_DECLARE_FUNC(covHoist, "opt.lifetimehoist.run");
 
 namespace {
 
-/** Apply @p fn to every operand Value of @p inst. */
+/** Apply @p fn to every operand Value of @p inst, an instruction of
+ *  @p f (whose pool holds a call's arguments). */
 template <typename F>
 void
-forEachOperand(Inst &inst, F &&fn)
+forEachOperand(Function &f, Inst &inst, F &&fn)
 {
     fn(inst.a);
     fn(inst.b);
     fn(inst.c);
-    for (Value &v : inst.args)
+    for (Value &v : f.argsOf(inst))
         fn(v);
 }
 
@@ -87,7 +88,7 @@ makeIdentity(Inst &inst, Value src)
     inst.a = src;
     inst.b = Value{};
     inst.c = Value{};
-    inst.args.clear();
+    inst.argCount = 0;
     inst.flag = false;
 }
 
@@ -99,7 +100,7 @@ makeConst(Inst &inst, uint64_t value)
     inst.a = Value{};
     inst.b = Value{};
     inst.c = Value{};
-    inst.args.clear();
+    inst.argCount = 0;
     inst.flag = false;
 }
 
@@ -118,7 +119,7 @@ class ConstFoldPass : public Pass
         for (BasicBlock &bb : f.blocks) {
             consts_.reset(f.numRegs);
             for (Inst &inst : bb.insts) {
-                forEachOperand(inst, [&](Value &v) {
+                forEachOperand(f, inst, [&](Value &v) {
                     if (!v.isReg())
                         return;
                     if (const uint64_t *c = consts_.find(v.reg)) {
@@ -443,7 +444,7 @@ class CSEPass : public Pass
             seen_.reset(bb.insts.size());
             alias_.reset(f.numRegs);
             for (Inst &inst : bb.insts) {
-                forEachOperand(inst, [&](Value &v) {
+                forEachOperand(f, inst, [&](Value &v) {
                     if (!v.isReg())
                         return;
                     if (const uint32_t *to = alias_.find(v.reg))
@@ -814,7 +815,7 @@ class DSEPass : public Pass
                   default: {
                     // Any other use of a rooted register (call args,
                     // returns, arithmetic, logging) escapes the object.
-                    forEachOperand(inst, [&](Value &v) {
+                    forEachOperand(f, inst, [&](Value &v) {
                         if (int64_t r = rootOf(v); r >= 0)
                             escaped_[static_cast<size_t>(r)] = 1;
                     });
@@ -867,7 +868,7 @@ class DCEPass : public Pass
         uses_.reset(f.numRegs);
         for (BasicBlock &bb : f.blocks) {
             for (Inst &inst : bb.insts) {
-                forEachOperand(inst, [&](Value &v) {
+                forEachOperand(f, inst, [&](Value &v) {
                     if (v.isReg())
                         uses_.at(v.reg)++;
                 });
@@ -880,7 +881,7 @@ class DCEPass : public Pass
                 Inst &inst = *it;
                 if (!isPure(inst) || !inst.dst || uses_.at(inst.dst) > 0)
                     continue;
-                forEachOperand(inst, [&](Value &v) {
+                forEachOperand(f, inst, [&](Value &v) {
                     if (v.isReg())
                         uses_.at(v.reg)--;
                 });

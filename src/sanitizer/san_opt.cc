@@ -297,7 +297,7 @@ runSanOpt(Module &m, const SanitizerContext &ctx)
                                 scan(u.a);
                                 scan(u.b);
                                 scan(u.c);
-                                for (const Value &arg : u.args)
+                                for (const Value &arg : f.argsOf(u))
                                     scan(arg);
                             }
                             if (uses == 1 && lone &&

@@ -78,9 +78,11 @@ countFromChar(const DefMap &defs, const Value &v)
     return valueFromNarrow(defs, v, 8);
 }
 
-/** The first instruction after @p idx that uses register @p reg. */
+/** The first instruction after @p idx that uses register @p reg, in
+ *  block @p bb of @p f. */
 const Inst *
-firstUse(const BasicBlock &bb, size_t idx, uint32_t reg)
+firstUse(const Function &f, const BasicBlock &bb, size_t idx,
+         uint32_t reg)
 {
     for (size_t j = idx + 1; j < bb.insts.size(); j++) {
         const Inst &inst = bb.insts[j];
@@ -91,7 +93,7 @@ firstUse(const BasicBlock &bb, size_t idx, uint32_t reg)
         check(inst.a);
         check(inst.b);
         check(inst.c);
-        for (const Value &arg : inst.args)
+        for (const Value &arg : f.argsOf(inst))
             check(arg);
         if (uses)
             return &inst;
@@ -147,7 +149,7 @@ runUbsanPass(Module &m, const SanitizerContext &ctx)
                                     LlvmUbsanStoreMergedArithSkipped) &&
                             inst.dst) {
                             const Inst *use =
-                                firstUse(bb, idx, inst.dst);
+                                firstUse(f, bb, idx, inst.dst);
                             if (use && use->op == Opcode::Store) {
                                 const Inst *ad = defs.def(use->a);
                                 if (ad &&

@@ -239,8 +239,8 @@ translate(const ir::Module &m)
                     bi.op = BOp::Call;
                     bi.a = inst.callee;
                     bi.t0 = static_cast<uint32_t>(p.argPool.size());
-                    bi.t1 = static_cast<uint32_t>(inst.args.size());
-                    for (const Value &arg : inst.args) {
+                    bi.t1 = inst.argCount;
+                    for (const Value &arg : fn.argsOf(inst)) {
                         UBF_ASSERT(!arg.isNone(),
                                    "empty call argument operand");
                         BArg ba;

@@ -1,6 +1,7 @@
 #include "vm/vm.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -77,6 +78,9 @@ constexpr uint64_t kGlobalBase = 0x10000000;
 constexpr uint64_t kStackBase = 0x20000000;
 constexpr uint64_t kHeapBase = 0x30000000;
 constexpr uint64_t kStackCapacity = 1 << 20;
+/** The stack planes are filled on first touch: at least this far,
+ *  then by doubling up to kStackCapacity. */
+constexpr uint64_t kStackMinCommit = 16 << 10;
 constexpr uint64_t kHeapCapacity = 8 << 20;
 constexpr uint64_t kNullGuard = 0x1000;
 constexpr uint8_t kFillByte = 0xAA;
@@ -357,7 +361,9 @@ storeScalar(uint8_t *p, uint64_t v, uint64_t size)
  * built once; everything a run dirties is restored by reset() before
  * the next run, using a stack write watermark so the restore cost is
  * proportional to what the previous execution touched, not to the
- * arena size.
+ * arena size. The arena's planes are reserved at construction but
+ * filled only as far as runs reach (commitStack), so neither building
+ * nor re-arming a machine costs more than its runs touch.
  */
 struct Machine::Impl
 {
@@ -365,7 +371,9 @@ struct Machine::Impl
     {
         globals_.base = kGlobalBase;
         stack_.base = kStackBase;
-        stack_.grow(kStackCapacity);
+        stack_.mem.reserve(kStackCapacity);
+        stack_.poison.reserve(kStackCapacity);
+        stack_.msh.reserve(kStackCapacity);
         heap_.base = kHeapBase;
         stats_.machinesBuilt++;
     }
@@ -488,8 +496,28 @@ struct Machine::Impl
             return;
         uint64_t off = std::min<uint64_t>(endAddr - kStackBase,
                                           kStackCapacity);
-        if (off > stackDirty_)
+        if (off > stackDirty_) {
             stackDirty_ = off;
+            if (off > stack_.mem.size())
+                commitStack(off);
+        }
+    }
+
+    /**
+     * Fill the stack planes past their committed size to at least
+     * offset @p end (at most kStackCapacity) with what a fresh arena
+     * holds: 0xAA, unpoisoned, defined. The committed size only grows,
+     * by doubling from kStackMinCommit, and always covers stackDirty_.
+     * The planes were reserved at construction, so growing never
+     * reallocates and pointers taken earlier in the same instruction
+     * stay valid. Rare, so kept out of line: the callers' checks
+     * inline into every load and store.
+     */
+    [[gnu::cold, gnu::noinline]] void
+    commitStack(uint64_t end)
+    {
+        stack_.grow(std::min(std::max(std::bit_ceil(end), kStackMinCommit),
+                             kStackCapacity));
     }
 
     Segment *
@@ -501,7 +529,23 @@ struct Machine::Impl
             return &stack_;
         if (heap_.contains(addr, size))
             return &heap_;
-        return nullptr;
+        return stackPastCommit(addr, size);
+    }
+
+    /**
+     * segmentFor's rare case: the stack by its logical bound, not its
+     * committed prefix. An access past the prefix but inside the arena
+     * commits up to its end first, so it sees what a fully filled
+     * arena would hold; anything else is unmapped.
+     */
+    [[gnu::cold, gnu::noinline]] Segment *
+    stackPastCommit(uint64_t addr, uint64_t size)
+    {
+        if (addr < kStackBase || addr + size < addr ||
+            addr + size > kStackBase + kStackCapacity)
+            return nullptr;
+        commitStack(addr + size - kStackBase);
+        return &stack_;
     }
 
     /** addr -> provenance object id for pointer values in memory. */
@@ -871,9 +915,9 @@ struct Machine::Impl
                 return false;
             const uint64_t base = objects_[objIds[idx] - 1].base;
             const uint64_t byte = (rest / objIds.size()) % size;
+            noteStackWrite(base + byte + 1);
             stack_.mem[base - stack_.base + byte] ^=
                 static_cast<uint8_t>(1u << (fp.bitIndex % 8));
-            noteStackWrite(base + byte + 1);
             return true;
         };
         auto flipReg = [&]() -> bool {
@@ -1013,8 +1057,8 @@ struct Machine::Impl
             std::vector<uint64_t> args;
             std::vector<uint8_t> argShadow;
             std::vector<uint64_t> argProv;
-            args.reserve(inst.args.size());
-            for (const Value &a : inst.args) {
+            args.reserve(inst.argCount);
+            for (const Value &a : f.fn->argsOf(inst)) {
                 args.push_back(val(a));
                 argShadow.push_back(shadow(a));
                 argProv.push_back(provOf(a));

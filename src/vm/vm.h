@@ -158,7 +158,8 @@ struct ExecResult
  */
 struct ExecStats
 {
-    /** Full Machine constructions (arena allocation + 0xAA fill). */
+    /** Full Machine constructions (stack arena reservation; its
+     *  planes are filled as runs reach them, not here). */
     size_t machinesBuilt = 0;
     /** Cheap re-arms between runs on an already-built machine. */
     size_t resets = 0;
@@ -238,13 +239,18 @@ struct ExecStats
  * arena), sanitizer runtime, and debugger of the paper's toolchain,
  * hoisted out of the per-execution path.
  *
- * Construction allocates and 0xAA-fills the stack arena and its two
- * shadow planes once; `run()` then executes any module, and between
- * runs a cheap `reset()` re-arms the machine by restoring only the
- * bytes the previous execution actually dirtied (tracked by a write
- * watermark) instead of rebuilding everything. The differential runner
- * constructs one Machine per UB program and pushes the whole config
- * matrix — including the lazy debugger re-executions — through it.
+ * Construction reserves the 1 MiB stack arena and its two shadow
+ * planes once but fills none of it: the planes are filled (0xAA,
+ * unpoisoned, defined) on first touch, by doubling from 16 KiB, so a
+ * run that reaches a few KiB of stack pays for a few KiB. An access
+ * anywhere inside the arena's logical bound sees exactly what a fully
+ * filled arena would hold. `run()` then executes any module, and
+ * between runs a cheap `reset()` re-arms the machine by restoring only
+ * the bytes the previous execution actually dirtied (tracked by a
+ * write watermark) instead of rebuilding everything. The differential
+ * runner constructs one Machine per UB program and pushes the whole
+ * config matrix — including the lazy debugger re-executions — through
+ * it.
  *
  * Guarantee: `Machine m; m.run(mod, opts)` is bit-identical to
  * `vm::execute(mod, opts)` for every preceding sequence of runs on

@@ -511,6 +511,54 @@ TEST(MachineReuse, SilentOutOfBoundsWriteDoesNotLeakAcrossRuns)
     expectSameResult(freshReader, m.run(reader));
 }
 
+TEST(MachineReuse, FarEndOfTheStackArenaBehavesLikeAFilledOne)
+{
+    // a[100000] lies ~400 KiB above main's frame: far past what any
+    // run's frames touch, still inside the 1 MiB stack arena. Its
+    // bytes must read as the 0xAA fill (-1431655766 as an int) however
+    // the machine got there; a[300000] lies past the arena and traps.
+    ir::Module reader = lowerSource(R"(int main(void) {
+    int a[4];
+    int i = 100000;
+    return a[i] == -1431655766;
+}
+)");
+    ir::Module writer = lowerSource(R"(int main(void) {
+    int a[4];
+    int i = 100000;
+    a[i] = 77;
+    return a[i];
+}
+)");
+    ir::Module beyond = lowerSource(R"(int main(void) {
+    int a[4];
+    int i = 300000;
+    return a[i];
+}
+)");
+    auto expectExit = [](const vm::ExecResult &r, int64_t code) {
+        EXPECT_EQ(r.kind, vm::ExecResult::Kind::Clean) << r.str();
+        EXPECT_EQ(r.exitCode, code) << r.str();
+    };
+    auto expectSegfault = [](const vm::ExecResult &r) {
+        EXPECT_EQ(r.kind, vm::ExecResult::Kind::Trap) << r.str();
+        EXPECT_EQ(r.trap, vm::TrapKind::Segfault) << r.str();
+    };
+
+    expectExit(vm::execute(reader), 1);
+    expectExit(vm::Machine().runReference(reader), 1);
+
+    vm::Machine m;
+    expectSegfault(m.run(beyond));
+    expectExit(m.run(reader), 1);
+    expectExit(m.run(writer), 77);
+    expectExit(m.run(reader), 1);
+    expectExit(m.run(writer), 77);
+    expectExit(m.runReference(reader), 1);
+    expectSegfault(m.run(beyond));
+    expectSegfault(m.runReference(beyond));
+}
+
 TEST(MachineReuse, UninitReadIsDeterministicAcrossRuns)
 {
     expectReuseIdentical("int main(void) { int x; return x * 0 + 3; }");
@@ -696,6 +744,18 @@ int main(void) { int y = f(g); return y; }
                                " in main");
     };
     auto reg = [](uint32_t r) { return ir::Value::makeReg(r); };
+    /** Give main's call one more argument, @p v: its slice moves to
+     *  the end of main's argument pool. */
+    auto addArg = [&](ir::Module &m, ir::Value v) {
+        ir::Function &f = mainOf(m);
+        ir::Inst &call = inst(m, ir::Opcode::Call);
+        std::vector<ir::Value> args(f.argsOf(call).begin(),
+                                    f.argsOf(call).end());
+        args.push_back(v);
+        call.argBegin = static_cast<uint32_t>(f.callArgs.size());
+        call.argCount = static_cast<uint32_t>(args.size());
+        f.callArgs.insert(f.callArgs.end(), args.begin(), args.end());
+    };
 
     struct Case
     {
@@ -724,10 +784,9 @@ int main(void) { int y = f(g); return y; }
              inst(m, ir::Opcode::Call).dst = mainOf(m).numRegs;
          }},
         {"register out of range",
-         [&](ir::Module &m) {
-             inst(m, ir::Opcode::Call).args.push_back(
-                 reg(mainOf(m).numRegs + 5));
-         }},
+         [&](ir::Module &m) { addArg(m, reg(mainOf(m).numRegs + 5)); }},
+        {"call arguments out of range",
+         [&](ir::Module &m) { inst(m, ir::Opcode::Call).argCount++; }},
         {"callee out of range",
          [&](ir::Module &m) {
              inst(m, ir::Opcode::Call).callee =
@@ -748,10 +807,7 @@ int main(void) { int y = f(g); return y; }
              inst(m, ir::Opcode::Ret).a = reg(mainOf(m).newReg());
          }},
         {"use of undefined arg register",
-         [&](ir::Module &m) {
-             inst(m, ir::Opcode::Call).args.push_back(
-                 reg(mainOf(m).newReg()));
-         }},
+         [&](ir::Module &m) { addArg(m, reg(mainOf(m).newReg())); }},
     };
     for (const Case &c : cases) {
         ir::Module m = base;
