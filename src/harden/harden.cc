@@ -94,14 +94,29 @@ class DupRewriter
   public:
     explicit DupRewriter(Function &f) : f_(f) {}
 
+    /**
+     * Writes the new body into one buffer: the entry prologue's slots
+     * first, then every block rewritten from the old body, then the
+     * prologue itself, whose registers come after the rewrite's.
+     */
     void
     run()
     {
         analyzeShadowable();
-        appendShadowObjects();
-        for (BasicBlock &bb : f_.blocks)
-            rewriteBlock(bb);
-        emitEntryCopies();
+        const size_t prologueSize = 3 * appendShadowObjects();
+        std::vector<Inst> out;
+        out.reserve(prologueSize + f_.insts.size() * 2);
+        out.resize(prologueSize);
+        for (size_t b = 0; b < f_.blocks.size(); b++) {
+            BasicBlock &bb = f_.blocks[b];
+            // The entry block starts with the prologue.
+            const uint32_t begin =
+                b == 0 ? 0 : static_cast<uint32_t>(out.size());
+            rewriteBlock(f_.instsOf(bb), out);
+            bb = {begin, static_cast<uint32_t>(out.size()) - begin};
+        }
+        emitEntryCopies(out);
+        f_.insts = std::move(out);
     }
 
   private:
@@ -114,51 +129,48 @@ class DupRewriter
         regRoot_.assign(f_.numRegs, 0);
         shadowable_.assign(f_.frame.size(), true);
         for (int sweep = 0; sweep < 2; sweep++) {
-            for (const BasicBlock &bb : f_.blocks) {
-                for (const Inst &inst : bb.insts) {
-                    if (inst.op == Opcode::FrameAddr && inst.dst)
-                        regRoot_[inst.dst] = inst.object + 1;
-                    else if (inst.op == Opcode::Gep && inst.dst &&
-                             inst.a.isReg() && regRoot_[inst.a.reg])
-                        regRoot_[inst.dst] = regRoot_[inst.a.reg];
-                }
+            for (const Inst &inst : f_.insts) {
+                if (inst.op == Opcode::FrameAddr && inst.dst)
+                    regRoot_[inst.dst] = inst.object + 1;
+                else if (inst.op == Opcode::Gep && inst.dst &&
+                         inst.a.isReg() && regRoot_[inst.a.reg])
+                    regRoot_[inst.dst] = regRoot_[inst.a.reg];
             }
         }
         auto escape = [this](const Value &v) {
             if (v.isReg() && regRoot_[v.reg])
                 shadowable_[regRoot_[v.reg] - 1] = false;
         };
-        for (const BasicBlock &bb : f_.blocks) {
-            for (const Inst &inst : bb.insts) {
-                switch (inst.op) {
-                  case Opcode::Gep:
-                    escape(inst.b); // rooted reg as *index*
-                    escape(inst.c);
-                    break;
-                  case Opcode::Load:
-                    break; // a is an address use
-                  case Opcode::Store:
-                    escape(inst.b); // pointer stored as a value
-                    break;
-                  case Opcode::MemCopy:
-                    break; // both operands are addresses
-                  case Opcode::AsanCheck:
-                  case Opcode::UbsanNull:
-                  case Opcode::MsanCheck:
-                    break; // pointer read, no memory access to mirror
-                  default:
-                    escape(inst.a);
-                    escape(inst.b);
-                    escape(inst.c);
-                    for (const Value &arg : f_.argsOf(inst))
-                        escape(arg);
-                    break;
-                }
+        for (const Inst &inst : f_.insts) {
+            switch (inst.op) {
+              case Opcode::Gep:
+                escape(inst.b); // rooted reg as *index*
+                escape(inst.c);
+                break;
+              case Opcode::Load:
+                break; // a is an address use
+              case Opcode::Store:
+                escape(inst.b); // pointer stored as a value
+                break;
+              case Opcode::MemCopy:
+                break; // both operands are addresses
+              case Opcode::AsanCheck:
+              case Opcode::UbsanNull:
+              case Opcode::MsanCheck:
+                break; // pointer read, no memory access to mirror
+              default:
+                escape(inst.a);
+                escape(inst.b);
+                escape(inst.c);
+                for (const Value &arg : f_.argsOf(inst))
+                    escape(arg);
+                break;
             }
         }
     }
 
-    void
+    /** @return the number of shadow objects appended. */
+    size_t
     appendShadowObjects()
     {
         size_t n = f_.frame.size();
@@ -176,15 +188,17 @@ class DupRewriter
             shadowIdx_[o] = static_cast<uint32_t>(f_.frame.size());
             f_.frame.push_back(std::move(sh));
         }
+        return f_.frame.size() - n;
     }
 
     /** Copy every shadowed object's initial contents (0xAA fill for
      *  locals, marshaled values for parameters) into its shadow at
-     *  function entry, before any original instruction runs. */
+     *  function entry, before any original instruction runs: fills
+     *  the prologue slots at the front of @p out. */
     void
-    emitEntryCopies()
+    emitEntryCopies(std::vector<Inst> &out)
     {
-        std::vector<Inst> prologue;
+        size_t at = 0;
         for (size_t o = 0; o < shadowIdx_.size(); o++) {
             if (!shadowIdx_[o])
                 continue;
@@ -201,15 +215,10 @@ class DupRewriter
             cp.a = Value::makeReg(fs.dst);
             cp.b = Value::makeReg(fa.dst);
             cp.imm = f_.frame[o].size;
-            prologue.push_back(fa);
-            prologue.push_back(fs);
-            prologue.push_back(cp);
+            out[at++] = fa;
+            out[at++] = fs;
+            out[at++] = cp;
         }
-        if (prologue.empty())
-            return;
-        BasicBlock &entry = f_.blocks.front();
-        entry.insts.insert(entry.insts.begin(), prologue.begin(),
-                           prologue.end());
     }
 
     uint32_t
@@ -272,12 +281,11 @@ class DupRewriter
                                     loc));
     }
 
+    /** Append block @p body of the old body, rewritten, to @p out. */
     void
-    rewriteBlock(BasicBlock &bb)
+    rewriteBlock(std::span<const Inst> body, std::vector<Inst> &out)
     {
-        std::vector<Inst> out;
-        out.reserve(bb.insts.size() * 2);
-        for (Inst &inst : bb.insts) {
+        for (const Inst &inst : body) {
             switch (inst.op) {
               case Opcode::Const:
               case Opcode::Bin:
@@ -442,7 +450,6 @@ class DupRewriter
                 break;
             }
         }
-        bb.insts = std::move(out);
     }
 
     Function &f_;
@@ -479,8 +486,16 @@ signFunction(Module &m, size_t fnIdx)
     sig.align = 8;
     f.frame.push_back(std::move(sig));
 
-    for (BasicBlock &bb : f.blocks) {
-        uint64_t sigVal = blockSignature(fnIdx, bb.id);
+    // The new body: every block gains 3 instructions at entry and 4
+    // before its terminator.
+    std::vector<Inst> out;
+    out.reserve(f.insts.size() + 7 * f.blocks.size());
+    for (size_t b = 0; b < f.blocks.size(); b++) {
+        BasicBlock &bb = f.blocks[b];
+        const std::span<const Inst> body = f.instsOf(bb);
+        const uint32_t begin = static_cast<uint32_t>(out.size());
+        uint64_t sigVal =
+            blockSignature(fnIdx, static_cast<uint32_t>(b));
 
         // Entry: store the block's signature into the slot.
         Inst c;
@@ -499,10 +514,10 @@ signFunction(Module &m, size_t fnIdx)
         st.a = Value::makeReg(fa.dst);
         st.b = Value::makeReg(c.dst);
         st.imm = 8;
-        bb.insts.insert(bb.insts.begin(), {c, fa, st});
+        out.insert(out.end(), {c, fa, st});
 
         // Exit: reload, fold the expected signature out, require zero.
-        SourceLoc loc = bb.insts.back().loc;
+        SourceLoc loc = body.empty() ? SourceLoc{} : body.back().loc;
         Inst fa2 = fa;
         fa2.dst = f.newReg();
         Inst ld;
@@ -527,11 +542,15 @@ signFunction(Module &m, size_t fnIdx)
         chk.b = Value::makeImm(0);
         chk.loc = loc;
         // Keep the terminator last (verifyModule's placement rule).
-        auto at = bb.insts.end();
-        if (!bb.insts.empty() && bb.insts.back().isTerminator())
-            --at;
-        bb.insts.insert(at, {fa2, ld, x, chk});
+        const bool term = !body.empty() && body.back().isTerminator();
+        out.insert(out.end(), body.begin(),
+                   body.begin() + (body.size() - (term ? 1 : 0)));
+        out.insert(out.end(), {fa2, ld, x, chk});
+        if (term)
+            out.push_back(body.back());
+        bb = {begin, static_cast<uint32_t>(out.size()) - begin};
     }
+    f.insts = std::move(out);
 }
 
 } // namespace

@@ -230,9 +230,14 @@ printModule(const Module &m)
                 os << " redzone=" << o.redzone;
             os << "\n";
         }
-        for (const BasicBlock &bb : f.blocks) {
-            os << "  bb" << bb.id << ":\n";
-            for (const Inst &inst : bb.insts)
+        for (size_t b = 0; b < f.blocks.size(); b++) {
+            const BasicBlock &bb = f.blocks[b];
+            os << "  bb" << b << ":\n";
+            if (uint64_t{bb.begin} + bb.count > f.insts.size()) {
+                os << "    range out of the body\n";
+                continue;
+            }
+            for (const Inst &inst : f.instsOf(bb))
                 printInst(os, f, inst);
         }
     }
@@ -296,10 +301,11 @@ serializeExecutionKey(const Module &m, Sink &sink)
             u64(o.declId);
         }
         u64(f.blocks.size());
-        for (const BasicBlock &bb : f.blocks) {
-            u64(bb.id);
-            u64(bb.insts.size());
-            for (const Inst &i : bb.insts) {
+        for (size_t b = 0; b < f.blocks.size(); b++) {
+            const BasicBlock &bb = f.blocks[b];
+            u64(b);
+            u64(bb.count);
+            for (const Inst &i : f.instsOf(bb)) {
                 u64(static_cast<uint64_t>(i.op));
                 u64(static_cast<uint64_t>(i.kind));
                 u64(i.dst);
@@ -465,7 +471,7 @@ CycleFinder::cyclicBlocks(const Function &f)
     cyclic_.assign(n, 0);
     seen_.assign(n, 0);
     auto pushSuccs = [&](uint32_t b) {
-        const Inst &term = f.blocks[b].insts.back();
+        const Inst &term = f.instsOf(f.blocks[b]).back();
         if (term.op == Opcode::Br)
             work_.push_back(term.targets[0]);
         if (term.op == Opcode::CondBr) {
@@ -507,19 +513,40 @@ verifyModule(const Module &m)
         };
         if (f.blocks.empty())
             return fail("no blocks", nullptr);
-        defined.assign(f.numRegs, 0);
-        for (const BasicBlock &bb : f.blocks) {
-            if (bb.insts.empty())
-                return fail("empty block bb" + std::to_string(bb.id),
+        // translate and the VM read the body through the block ranges
+        // unchecked, so the ranges must tile it, in block order, before
+        // any rule below reads an instruction.
+        uint64_t next = 0;
+        for (size_t b = 0; b < f.blocks.size(); b++) {
+            const BasicBlock &bb = f.blocks[b];
+            if (bb.begin != next) {
+                if (b == 0)
+                    return fail("first block not at 0", nullptr);
+                return fail(std::string(bb.begin > next ? "gap before bb"
+                                                        : "overlap at bb") +
+                                std::to_string(b),
                             nullptr);
-            for (size_t k = 0; k < bb.insts.size(); k++) {
-                const Inst &inst = bb.insts[k];
-                bool last = k + 1 == bb.insts.size();
+            }
+            if (bb.count == 0)
+                return fail("empty block bb" + std::to_string(b), nullptr);
+            next = uint64_t{bb.begin} + bb.count;
+            if (next > f.insts.size())
+                return fail("bb" + std::to_string(b) +
+                                " range past the end of the body",
+                            nullptr);
+        }
+        if (next != f.insts.size())
+            return fail("instructions after the last block", nullptr);
+        defined.assign(f.numRegs, 0);
+        for (size_t b = 0; b < f.blocks.size(); b++) {
+            const std::span<const Inst> body = f.instsOf(f.blocks[b]);
+            for (size_t k = 0; k < body.size(); k++) {
+                const Inst &inst = body[k];
+                bool last = k + 1 == body.size();
                 if (inst.isTerminator() != last) {
-                    return fail(
-                        "terminator placement in bb" +
-                            std::to_string(bb.id),
-                        &inst);
+                    return fail("terminator placement in bb" +
+                                    std::to_string(b),
+                                &inst);
                 }
                 for (int t = 0; t < 2; t++) {
                     bool uses_target =
@@ -562,15 +589,15 @@ verifyModule(const Module &m)
         // function. (Values may flow across blocks when an expression
         // contains short-circuit or ternary sub-expressions, so the
         // check is function-scoped, not block-scoped.)
-        for (const BasicBlock &bb : f.blocks) {
-            for (const Inst &inst : bb.insts) {
+        for (size_t b = 0; b < f.blocks.size(); b++) {
+            for (const Inst &inst : f.instsOf(f.blocks[b])) {
                 auto check_use = [&](const Value &v) {
                     return !v.isReg() || defined[v.reg];
                 };
                 if (!check_use(inst.a) || !check_use(inst.b) ||
                     !check_use(inst.c))
                     return fail("use of undefined register in bb" +
-                                    std::to_string(bb.id),
+                                    std::to_string(b),
                                 &inst);
                 for (const Value &arg : f.argsOf(inst))
                     if (!check_use(arg))

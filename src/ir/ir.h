@@ -129,11 +129,10 @@ struct Value
 
 /**
  * One IR instruction: a flat, trivially copyable record, so copying a
- * block (module clones, pass rewrites) copies plain bytes and freeing
- * one is a single free. Opcodes read only the fields they need. A
- * call's argument list, the one operand list of variable length,
- * lives in its function's `callArgs` pool; read it through
- * Function::argsOf.
+ * function body (module clones, pass rewrites) copies plain bytes.
+ * Opcodes read only the fields they need. A call's argument list, the
+ * one operand list of variable length, lives in its function's
+ * `callArgs` pool; read it through Function::argsOf.
  */
 struct Inst
 {
@@ -189,13 +188,22 @@ struct Inst
 };
 
 static_assert(std::is_trivially_copyable_v<Inst>,
-              "block copies and module clones copy instructions as bytes");
+              "body copies and module clones copy instructions as bytes");
 
+/**
+ * A basic block: the instructions [begin, begin + count) of its
+ * function's body (Function::insts); read them through
+ * Function::instsOf. A function's blocks tile its body in block order,
+ * and a block's id is its index in Function::blocks.
+ */
 struct BasicBlock
 {
-    uint32_t id = 0;
-    std::vector<Inst> insts;
+    uint32_t begin = 0;
+    uint32_t count = 0;
 };
+
+static_assert(std::is_trivially_copyable_v<BasicBlock>,
+              "a function's block table is copied as bytes");
 
 /** A stack-allocated object of one function frame. */
 struct FrameObject
@@ -243,6 +251,15 @@ struct Function
     uint32_t numParams = 0;
     std::vector<FrameObject> frame;
     std::vector<BasicBlock> blocks;
+    /**
+     * The body: block 0's instructions, then block 1's, and so on,
+     * with no gaps (verifyModule checks the tiling). One array per
+     * function, so cloning or freeing a function allocates or frees
+     * once, not once per block. A pass that edits in place keeps the
+     * ranges; one that erases compacts the body and rewrites them; one
+     * that inserts reads the old body and writes a new one.
+     */
+    std::vector<Inst> insts;
     uint32_t numRegs = 1; ///< register ids are 1..numRegs-1 (0 invalid)
     /**
      * Argument pool of this function's calls: each Call names its
@@ -257,6 +274,30 @@ struct Function
     newReg()
     {
         return numRegs++;
+    }
+
+    /** The instructions of block @p bb (a block of this function).
+     *  Valid until insts next grows or is replaced. */
+    std::span<Inst>
+    instsOf(const BasicBlock &bb)
+    {
+        return {insts.data() + bb.begin, bb.count};
+    }
+
+    std::span<const Inst>
+    instsOf(const BasicBlock &bb) const
+    {
+        return {insts.data() + bb.begin, bb.count};
+    }
+
+    /** Append a block holding @p body, which must not point into
+     *  this function's body, at the end of the body. */
+    void
+    appendBlock(std::span<const Inst> body)
+    {
+        blocks.push_back({static_cast<uint32_t>(insts.size()),
+                          static_cast<uint32_t>(body.size())});
+        insts.insert(insts.end(), body.begin(), body.end());
     }
 
     /** The arguments of call @p inst (an instruction of this
@@ -445,15 +486,16 @@ class CycleFinder
 };
 
 /**
- * Structural sanity check: every block non-empty and ending in its
- * only terminator, branch targets, callees and frame/global objects in
- * range, every call's argument slice inside its function's callArgs,
- * every register the VM indexes (operands, call arguments and the
- * destination) below the function's numRegs, and every used
- * register defined somewhere in the function (function-scoped, since
- * short-circuit and ternary values cross blocks). @return empty string
- * when the module is well-formed, else a description of the first
- * problem.
+ * Structural sanity check: the block ranges tile the body (checked
+ * before any instruction is read), every block non-empty and ending
+ * in its only terminator, branch targets, callees and frame/global
+ * objects in range, every call's argument slice inside its
+ * function's callArgs, every register the VM indexes (operands, call
+ * arguments and the destination) below the function's numRegs, and
+ * every used register defined somewhere in the function
+ * (function-scoped, since short-circuit and ternary values cross
+ * blocks). @return empty string when the module is well-formed, else
+ * a description of the first problem.
  */
 std::string verifyModule(const Module &m);
 

@@ -243,6 +243,18 @@ class Lowerer
 
     Function *fn_ = nullptr;
     uint32_t curBlock_ = 0;
+    /**
+     * The current function's blocks while it is lowered: structured
+     * control flow creates then/else/join and loop blocks before it
+     * fills them, so each block collects here and finalize() lays them
+     * out in one body. Kept across functions so their capacity is
+     * reused; only the first numBlocks_ belong to the current one.
+     */
+    std::vector<std::vector<Inst>> blockInsts_;
+    uint32_t numBlocks_ = 0;
+    /** A new scratch block's capacity: most blocks fit, so they grow
+     *  without reallocating. */
+    static constexpr size_t kBlockReserve = 8;
     SourceLoc curLoc_;
     std::vector<uint32_t> breakTargets_;
     std::vector<uint32_t> continueTargets_;
@@ -264,6 +276,7 @@ class Lowerer
             fn_->frame.push_back(std::move(obj));
         }
         fn_->numParams = static_cast<uint32_t>(f->params().size());
+        numBlocks_ = 0;
         curBlock_ = newBlock();
         lowerBlock(f->body());
         finalize();
@@ -273,15 +286,18 @@ class Lowerer
     uint32_t
     newBlock()
     {
-        uint32_t id = static_cast<uint32_t>(fn_->blocks.size());
-        fn_->blocks.push_back(BasicBlock{id, {}});
+        uint32_t id = numBlocks_++;
+        if (id == blockInsts_.size())
+            blockInsts_.emplace_back().reserve(kBlockReserve);
+        else
+            blockInsts_[id].clear();
         return id;
     }
 
     Inst &
     emit(Inst inst)
     {
-        auto &insts = fn_->blocks[curBlock_].insts;
+        auto &insts = blockInsts_[curBlock_];
         if (!inst.loc.isValid())
             inst.loc = curLoc_;
         insts.push_back(std::move(inst));
@@ -305,26 +321,34 @@ class Lowerer
             curLoc_ = l;
     }
 
-    /** Every created block must end in a terminator. */
+    /** Close every created block with a terminator and lay the
+     *  blocks out, in creation order, as the function's body. */
     void
     finalize()
     {
-        for (BasicBlock &bb : fn_->blocks) {
-            if (!bb.insts.empty() && bb.insts.back().isTerminator())
-                continue;
-            Inst ret;
-            ret.op = Opcode::Ret;
-            if (fn_->retKind != ScalarKind::Void)
-                ret.a = Value::makeImm(0);
-            ret.loc = curLoc_;
-            bb.insts.push_back(std::move(ret));
+        size_t total = 0;
+        for (uint32_t b = 0; b < numBlocks_; b++) {
+            std::vector<Inst> &insts = blockInsts_[b];
+            if (insts.empty() || !insts.back().isTerminator()) {
+                Inst ret;
+                ret.op = Opcode::Ret;
+                if (fn_->retKind != ScalarKind::Void)
+                    ret.a = Value::makeImm(0);
+                ret.loc = curLoc_;
+                insts.push_back(std::move(ret));
+            }
+            total += insts.size();
         }
+        fn_->blocks.reserve(numBlocks_);
+        fn_->insts.reserve(total);
+        for (uint32_t b = 0; b < numBlocks_; b++)
+            fn_->appendBlock(blockInsts_[b]);
     }
 
     bool
     blockTerminated() const
     {
-        const auto &insts = fn_->blocks[curBlock_].insts;
+        const auto &insts = blockInsts_[curBlock_];
         return !insts.empty() && insts.back().isTerminator();
     }
 

@@ -68,16 +68,25 @@ isPure(const Inst &inst)
     }
 }
 
+/** Erase every Nop: one compaction of the body, block ranges
+ *  rewritten to match. Instructions before the first Nop stay put. */
 void
 sweepNops(Function &f)
 {
+    Inst *insts = f.insts.data();
+    uint32_t w = 0;
     for (BasicBlock &bb : f.blocks) {
-        bb.insts.erase(std::remove_if(bb.insts.begin(), bb.insts.end(),
-                                      [](const Inst &i) {
-                                          return i.op == Opcode::Nop;
-                                      }),
-                       bb.insts.end());
+        const uint32_t begin = w;
+        for (uint32_t r = bb.begin; r < bb.begin + bb.count; r++) {
+            if (insts[r].op == Opcode::Nop)
+                continue;
+            if (w != r)
+                insts[w] = insts[r];
+            w++;
+        }
+        bb = {begin, w - begin};
     }
+    f.insts.resize(w);
 }
 
 /** Rewrite @p inst into a no-op that just forwards @p src to its dst. */
@@ -116,9 +125,9 @@ class ConstFoldPass : public Pass
     {
         UBF_COV_HIT(covFold);
         bool changed = false;
-        for (BasicBlock &bb : f.blocks) {
+        for (const BasicBlock &bb : f.blocks) {
             consts_.reset(f.numRegs);
-            for (Inst &inst : bb.insts) {
+            for (Inst &inst : f.instsOf(bb)) {
                 forEachOperand(f, inst, [&](Value &v) {
                     if (!v.isReg())
                         return;
@@ -203,12 +212,12 @@ class PeepholePass : public Pass
     {
         UBF_COV_HIT(covPeephole);
         bool changed = false;
-        for (BasicBlock &bb : f.blocks) {
+        for (const BasicBlock &bb : f.blocks) {
             defs_.reset(f.numRegs);
-            for (size_t i = 0; i < bb.insts.size(); i++) {
-                Inst &inst = bb.insts[i];
+            for (uint32_t i = bb.begin; i < bb.begin + bb.count; i++) {
+                Inst &inst = f.insts[i];
                 if (inst.op == Opcode::Bin)
-                    changed |= simplifyBin(bb, inst);
+                    changed |= simplifyBin(f, inst);
                 if (inst.dst)
                     defs_.set(inst.dst, i);
             }
@@ -223,7 +232,7 @@ class PeepholePass : public Pass
     }
 
     bool
-    simplifyBin(BasicBlock &bb, Inst &inst)
+    simplifyBin(const Function &f, Inst &inst)
     {
         const Value a = inst.a, b = inst.b;
         bool llvm = vendor_ == Vendor::LLVM;
@@ -255,8 +264,8 @@ class PeepholePass : public Pass
             // folding the constants can remove an intermediate signed
             // overflow, a classic UB-eliding transform.
             if (llvm && b.isImm() && a.isReg()) {
-                if (const size_t *d = defs_.find(a.reg)) {
-                    const Inst &def = bb.insts[*d];
+                if (const uint32_t *d = defs_.find(a.reg)) {
+                    const Inst &def = f.insts[*d];
                     if (def.op == Opcode::Bin &&
                         def.binOp == BinaryOp::Add &&
                         def.kind == inst.kind && def.b.isImm()) {
@@ -336,9 +345,9 @@ class PeepholePass : public Pass
     }
 
     Vendor vendor_;
-    /** Register -> index of its defining instruction in the current
-     *  block (for reassociation). */
-    ir::RegTable<size_t> defs_;
+    /** Register -> body index of its defining instruction, within the
+     *  current block (for reassociation). */
+    ir::RegTable<uint32_t> defs_;
 };
 
 //===--------------------------------------------------------------===//
@@ -440,10 +449,10 @@ class CSEPass : public Pass
     {
         UBF_COV_HIT(covCse);
         bool changed = false;
-        for (BasicBlock &bb : f.blocks) {
-            seen_.reset(bb.insts.size());
+        for (const BasicBlock &bb : f.blocks) {
+            seen_.reset(bb.count);
             alias_.reset(f.numRegs);
-            for (Inst &inst : bb.insts) {
+            for (Inst &inst : f.instsOf(bb)) {
                 forEachOperand(f, inst, [&](Value &v) {
                     if (!v.isReg())
                         return;
@@ -576,7 +585,7 @@ class StoreForwardPass : public Pass
     {
         UBF_COV_HIT(covStoreFwd);
         bool changed = false;
-        for (BasicBlock &bb : f.blocks) {
+        for (const BasicBlock &bb : f.blocks) {
             resolver_.reset(f.numRegs);
             entries_.clear();
             auto clobberAll = [&] { entries_.clear(); };
@@ -592,7 +601,7 @@ class StoreForwardPass : public Pass
                                    }),
                     entries_.end());
             };
-            for (Inst &inst : bb.insts) {
+            for (Inst &inst : f.instsOf(bb)) {
                 resolver_.note(inst);
                 switch (inst.op) {
                   case Opcode::Store: {
@@ -695,19 +704,20 @@ class DSEPass : public Pass
     overwriteDSE(Function &f)
     {
         bool changed = false;
-        for (BasicBlock &bb : f.blocks) {
+        for (const BasicBlock &bb : f.blocks) {
+            const std::span<Inst> body = f.instsOf(bb);
             resolver_.reset(f.numRegs);
-            for (Inst &inst : bb.insts)
+            for (const Inst &inst : body)
                 resolver_.note(inst);
-            for (size_t i = 0; i < bb.insts.size(); i++) {
-                Inst &st = bb.insts[i];
+            for (size_t i = 0; i < body.size(); i++) {
+                Inst &st = body[i];
                 if (st.op != Opcode::Store)
                     continue;
                 AddrKey key = resolver_.resolve(st.a);
                 if (!key.resolved())
                     continue;
-                for (size_t j = i + 1; j < bb.insts.size(); j++) {
-                    const Inst &nx = bb.insts[j];
+                for (size_t j = i + 1; j < body.size(); j++) {
+                    const Inst &nx = body[j];
                     if (nx.op == Opcode::Store) {
                         AddrKey k2 = resolver_.resolve(nx.a);
                         if (k2.resolved() &&
@@ -784,9 +794,9 @@ class DSEPass : public Pass
         loaded_.assign(f.frame.size(), 0);
         // Root each register at a frame object where possible.
         // Registers are block-local, so a per-block table suffices.
-        for (BasicBlock &bb : f.blocks) {
+        for (const BasicBlock &bb : f.blocks) {
             root_.reset(f.numRegs);
-            for (Inst &inst : bb.insts) {
+            for (Inst &inst : f.instsOf(bb)) {
                 switch (inst.op) {
                   case Opcode::FrameAddr:
                   case Opcode::Gep:
@@ -825,9 +835,9 @@ class DSEPass : public Pass
             }
         }
         bool changed = false;
-        for (BasicBlock &bb : f.blocks) {
+        for (const BasicBlock &bb : f.blocks) {
             root_.reset(f.numRegs);
-            for (Inst &inst : bb.insts) {
+            for (Inst &inst : f.instsOf(bb)) {
                 if (inst.op == Opcode::Store) {
                     int64_t r = rootOf(inst.a);
                     if (r >= 0 && !escaped_[static_cast<size_t>(r)] &&
@@ -866,30 +876,26 @@ class DCEPass : public Pass
         // Values may cross blocks (short-circuit/ternary lowering), so
         // use counts are function-scoped.
         uses_.reset(f.numRegs);
-        for (BasicBlock &bb : f.blocks) {
-            for (Inst &inst : bb.insts) {
-                forEachOperand(f, inst, [&](Value &v) {
-                    if (v.isReg())
-                        uses_.at(v.reg)++;
-                });
-            }
+        for (Inst &inst : f.insts) {
+            forEachOperand(f, inst, [&](Value &v) {
+                if (v.isReg())
+                    uses_.at(v.reg)++;
+            });
         }
-        for (auto bit = f.blocks.rbegin(); bit != f.blocks.rend();
-             ++bit) {
-            for (auto it = bit->insts.rbegin(); it != bit->insts.rend();
-                 ++it) {
-                Inst &inst = *it;
-                if (!isPure(inst) || !inst.dst || uses_.at(inst.dst) > 0)
-                    continue;
-                forEachOperand(f, inst, [&](Value &v) {
-                    if (v.isReg())
-                        uses_.at(v.reg)--;
-                });
-                inst.op = Opcode::Nop;
-                inst.dst = 0;
-                inst.a = inst.b = inst.c = Value{};
-                changed = true;
-            }
+        // The body holds the blocks in order, so one backward walk
+        // visits the last block first, each block back to front.
+        for (auto it = f.insts.rbegin(); it != f.insts.rend(); ++it) {
+            Inst &inst = *it;
+            if (!isPure(inst) || !inst.dst || uses_.at(inst.dst) > 0)
+                continue;
+            forEachOperand(f, inst, [&](Value &v) {
+                if (v.isReg())
+                    uses_.at(v.reg)--;
+            });
+            inst.op = Opcode::Nop;
+            inst.dst = 0;
+            inst.a = inst.b = inst.c = Value{};
+            changed = true;
         }
         sweepNops(f);
         return changed;
@@ -919,17 +925,16 @@ class SimplifyCFGPass : public Pass
             visited_.reset(n);
             while (!visited_.contains(t)) {
                 visited_.set(t, true);
-                const BasicBlock &bb = f.blocks[t];
-                if (bb.insts.size() == 1 &&
-                    bb.insts[0].op == Opcode::Br)
-                    t = bb.insts[0].targets[0];
+                const std::span<const Inst> body = f.instsOf(f.blocks[t]);
+                if (body.size() == 1 && body[0].op == Opcode::Br)
+                    t = body[0].targets[0];
                 else
                     break;
             }
             return t;
         };
-        for (BasicBlock &bb : f.blocks) {
-            Inst &term = bb.insts.back();
+        for (const BasicBlock &bb : f.blocks) {
+            Inst &term = f.instsOf(bb).back();
             if (term.op == Opcode::Br) {
                 uint32_t t = finalTarget(term.targets[0]);
                 if (t != term.targets[0]) {
@@ -959,7 +964,7 @@ class SimplifyCFGPass : public Pass
         while (!work_.empty()) {
             uint32_t b = work_.back();
             work_.pop_back();
-            const Inst &term = f.blocks[b].insts.back();
+            const Inst &term = f.instsOf(f.blocks[b]).back();
             for (int k = 0; k < 2; k++) {
                 bool has = (term.op == Opcode::Br && k == 0) ||
                            term.op == Opcode::CondBr;
@@ -969,19 +974,30 @@ class SimplifyCFGPass : public Pass
                 }
             }
         }
+        // One compaction of the body: a pruned block shrinks to its
+        // return, every later block moves down.
+        uint32_t w = 0;
         for (size_t b = 0; b < n; b++) {
             BasicBlock &bb = f.blocks[b];
-            if (reachable_[b] || bb.insts.size() == 1)
-                continue;
-            UBF_COV_HIT(covSimplifyUnreachable);
-            Inst ret;
-            ret.op = Opcode::Ret;
-            if (f.retKind != ir::ScalarKind::Void)
-                ret.a = Value::makeImm(0);
-            bb.insts.clear();
-            bb.insts.push_back(ret);
-            changed = true;
+            const uint32_t begin = w;
+            if (reachable_[b] || bb.count == 1) {
+                if (w != bb.begin)
+                    std::copy(f.insts.begin() + bb.begin,
+                              f.insts.begin() + bb.begin + bb.count,
+                              f.insts.begin() + w);
+                w += bb.count;
+            } else {
+                UBF_COV_HIT(covSimplifyUnreachable);
+                Inst ret;
+                ret.op = Opcode::Ret;
+                if (f.retKind != ir::ScalarKind::Void)
+                    ret.a = Value::makeImm(0);
+                f.insts[w++] = ret;
+                changed = true;
+            }
+            bb = {begin, w - begin};
         }
+        f.insts.resize(w);
         return changed;
     }
 
@@ -1011,7 +1027,7 @@ class LifetimeHoistPass : public Pass
         for (size_t b = 0; b < f.blocks.size(); b++) {
             if (!cyclic[b])
                 continue;
-            for (const Inst &inst : f.blocks[b].insts) {
+            for (const Inst &inst : f.instsOf(f.blocks[b])) {
                 if ((inst.op == Opcode::LifetimeStart ||
                      inst.op == Opcode::LifetimeEnd) &&
                     f.frame[inst.object].size <= 8) {
@@ -1022,13 +1038,11 @@ class LifetimeHoistPass : public Pass
         }
         if (!any)
             return false;
-        for (BasicBlock &bb : f.blocks) {
-            for (Inst &inst : bb.insts) {
-                if ((inst.op == Opcode::LifetimeStart ||
-                     inst.op == Opcode::LifetimeEnd) &&
-                    hoisted_[inst.object])
-                    inst.op = Opcode::Nop;
-            }
+        for (Inst &inst : f.insts) {
+            if ((inst.op == Opcode::LifetimeStart ||
+                 inst.op == Opcode::LifetimeEnd) &&
+                hoisted_[inst.object])
+                inst.op = Opcode::Nop;
         }
         sweepNops(f);
         return true;

@@ -64,7 +64,7 @@ class FrameEscapes
         for (const BasicBlock &bb : f.blocks) {
             root_.reset(f.numRegs);
             globalAddrs_.reset(f.numRegs);
-            for (const Inst &inst : bb.insts) {
+            for (const Inst &inst : f.instsOf(bb)) {
                 switch (inst.op) {
                   case Opcode::FrameAddr:
                     root_.set(inst.dst, inst.object);
@@ -168,13 +168,26 @@ runAsanPass(Module &m, const SanitizerContext &ctx)
         const uint32_t numObjectKeys = static_cast<uint32_t>(
             2 * std::max(f.frame.size(), m.globals.size()));
 
-        for (BasicBlock &bb : f.blocks) {
+        // The new body, sized for the most checks the old one can
+        // gain: one per Load or Store, two per MemCopy. The loop reads
+        // only the old body, so the instructions `defs` points at stay
+        // put.
+        size_t most = f.insts.size();
+        for (const Inst &inst : f.insts)
+            most += inst.op == Opcode::MemCopy ? 2
+                    : inst.op == Opcode::Load || inst.op == Opcode::Store
+                        ? 1
+                        : 0;
+        std::vector<Inst> out;
+        out.reserve(most);
+        for (size_t b = 0; b < f.blocks.size(); b++) {
+            BasicBlock &bb = f.blocks[b];
+            const std::span<const Inst> body = f.instsOf(bb);
+            const uint32_t begin = static_cast<uint32_t>(out.size());
             defs.reset(f.numRegs);
             checkedStoreObjects.reset(numObjectKeys);
-            std::vector<Inst> out;
-            out.reserve(bb.insts.size() * 2);
             SourceLoc block_first_loc =
-                bb.insts.empty() ? SourceLoc{} : bb.insts.front().loc;
+                body.empty() ? SourceLoc{} : body.front().loc;
 
             auto emitCheck = [&](Value addr, uint64_t size, bool write,
                                  SourceLoc loc) {
@@ -187,7 +200,7 @@ runAsanPass(Module &m, const SanitizerContext &ctx)
                 out.push_back(chk);
             };
 
-            for (const Inst &inst : bb.insts) {
+            for (const Inst &inst : body) {
                 switch (inst.op) {
                   case Opcode::Load: {
                     covLoad[vi].hit();
@@ -335,7 +348,7 @@ runAsanPass(Module &m, const SanitizerContext &ctx)
                     break;
                   }
                   case Opcode::LifetimeEnd: {
-                    bool in_loop = cyclic[bb.id];
+                    bool in_loop = cyclic[b];
                     covScope[vi].branch(in_loop);
                     if (ctx.bugs.active(
                             BugId::GccAsanScopePoisonLoopRemoved) &&
@@ -357,8 +370,9 @@ runAsanPass(Module &m, const SanitizerContext &ctx)
                 defs.note(inst);
                 out.push_back(inst);
             }
-            bb.insts = std::move(out);
+            bb = {begin, static_cast<uint32_t>(out.size()) - begin};
         }
+        f.insts = std::move(out);
     }
 }
 

@@ -105,7 +105,15 @@ runSanOpt(Module &m, const SanitizerContext &ctx)
         checkedGepBase.clear();
     };
     for (Function &f : m.functions) {
+        // Sanopt only drops checks, so it compacts the body in place,
+        // like any erasing pass: each kept instruction moves down to
+        // slot w, never past its own, and the block ranges are
+        // rewritten to match. `defs` points at the kept copies in the
+        // compacted prefix [0, w), which no later write touches; a
+        // dropped check defines no register, so it is never noted.
+        uint32_t w = 0;
         for (BasicBlock &bb : f.blocks) {
+            const uint32_t begin = w;
             defs.reset(f.numRegs);
             clearChecked();
             bool free_since_clear = false;
@@ -126,9 +134,8 @@ runSanOpt(Module &m, const SanitizerContext &ctx)
                 return addr.isReg() ? addr.reg : ~0ULL;
             };
 
-            std::vector<Inst> out;
-            out.reserve(bb.insts.size());
-            for (const Inst &inst : bb.insts) {
+            for (uint32_t r = bb.begin; r < bb.begin + bb.count; r++) {
+                const Inst &inst = f.insts[r];
                 bool drop = false;
                 switch (inst.op) {
                   case Opcode::AsanCheck: {
@@ -261,20 +268,23 @@ runSanOpt(Module &m, const SanitizerContext &ctx)
                   default:
                     break;
                 }
-                defs.note(inst);
-                if (!drop)
-                    out.push_back(inst);
+                if (drop)
+                    continue;
+                if (w != r)
+                    f.insts[w] = inst;
+                defs.note(f.insts[w++]);
             }
-            bb.insts = std::move(out);
 
             // GccUbsanSanOptWidenedResultRemoved: remove an arith
             // check when its guarded Bin's result feeds only a
-            // widening Cast.
+            // widening Cast. Compacts the block in place again: slot
+            // `kept` is written only after every slot up to i >= kept
+            // was read, and the scan reads ahead of i only.
             if (ctx.bugs.active(
                     BugId::GccUbsanSanOptWidenedResultRemoved)) {
-                std::vector<Inst> &insts = bb.insts;
-                std::vector<Inst> cleaned;
-                cleaned.reserve(insts.size());
+                const std::span<const Inst> insts(f.insts.data() + begin,
+                                                  w - begin);
+                uint32_t kept = begin;
                 for (size_t i = 0; i < insts.size(); i++) {
                     const Inst &chk = insts[i];
                     if (chk.op == Opcode::UbsanArith &&
@@ -312,11 +322,13 @@ runSanOpt(Module &m, const SanitizerContext &ctx)
                             }
                         }
                     }
-                    cleaned.push_back(chk);
+                    f.insts[kept++] = chk;
                 }
-                bb.insts = std::move(cleaned);
+                w = kept;
             }
+            bb = {begin, w - begin};
         }
+        f.insts.resize(w);
     }
 }
 

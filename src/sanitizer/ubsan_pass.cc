@@ -79,13 +79,13 @@ countFromChar(const DefMap &defs, const Value &v)
 }
 
 /** The first instruction after @p idx that uses register @p reg, in
- *  block @p bb of @p f. */
+ *  block @p body of @p f. */
 const Inst *
-firstUse(const Function &f, const BasicBlock &bb, size_t idx,
+firstUse(const Function &f, std::span<const Inst> body, size_t idx,
          uint32_t reg)
 {
-    for (size_t j = idx + 1; j < bb.insts.size(); j++) {
-        const Inst &inst = bb.insts[j];
+    for (size_t j = idx + 1; j < body.size(); j++) {
+        const Inst &inst = body[j];
         bool uses = false;
         auto check = [&](const Value &v) {
             uses |= v.isReg() && v.reg == reg;
@@ -111,12 +111,27 @@ runUbsanPass(Module &m, const SanitizerContext &ctx)
 
     DefMap defs;
     for (Function &f : m.functions) {
+        // The new body, sized for the most checks the old one can
+        // gain: one per checked Bin, bounded Gep, Load or Store, two
+        // per MemCopy. The loop reads only the old body, so the
+        // instructions `defs` points at stay put.
+        size_t most = f.insts.size();
+        for (const Inst &inst : f.insts)
+            most += inst.op == Opcode::MemCopy ? 2
+                    : (inst.op == Opcode::Bin && inst.flag) ||
+                            (inst.op == Opcode::Gep && inst.bound) ||
+                            inst.op == Opcode::Load ||
+                            inst.op == Opcode::Store
+                        ? 1
+                        : 0;
+        std::vector<Inst> out;
+        out.reserve(most);
         for (BasicBlock &bb : f.blocks) {
+            const std::span<const Inst> body = f.instsOf(bb);
+            const uint32_t begin = static_cast<uint32_t>(out.size());
             defs.reset(f.numRegs);
-            std::vector<Inst> out;
-            out.reserve(bb.insts.size() * 2);
-            for (size_t idx = 0; idx < bb.insts.size(); idx++) {
-                const Inst &inst = bb.insts[idx];
+            for (size_t idx = 0; idx < body.size(); idx++) {
+                const Inst &inst = body[idx];
                 switch (inst.op) {
                   case Opcode::Bin: {
                     if (!inst.flag)
@@ -149,7 +164,7 @@ runUbsanPass(Module &m, const SanitizerContext &ctx)
                                     LlvmUbsanStoreMergedArithSkipped) &&
                             inst.dst) {
                             const Inst *use =
-                                firstUse(f, bb, idx, inst.dst);
+                                firstUse(f, body, idx, inst.dst);
                             if (use && use->op == Opcode::Store) {
                                 const Inst *ad = defs.def(use->a);
                                 if (ad &&
@@ -285,7 +300,7 @@ runUbsanPass(Module &m, const SanitizerContext &ctx)
                         // Figure 12e: the pointer feeds both a load
                         // and a store (++(*p)).
                         bool load_use = false, store_use = false;
-                        for (const Inst &other : bb.insts) {
+                        for (const Inst &other : body) {
                             if (!inst.a.isReg() || !other.a.isReg() ||
                                 other.a.reg != inst.a.reg)
                                 continue;
@@ -338,8 +353,9 @@ runUbsanPass(Module &m, const SanitizerContext &ctx)
                 defs.note(inst);
                 out.push_back(inst);
             }
-            bb.insts = std::move(out);
+            bb = {begin, static_cast<uint32_t>(out.size()) - begin};
         }
+        f.insts = std::move(out);
     }
 }
 
@@ -362,10 +378,18 @@ runMsanPass(Module &m, const SanitizerContext &ctx)
         ctx.fire(BugId::LlvmMsanSubConstDefined);
     }
     for (Function &f : m.functions) {
+        // The new body, sized for one check per branch or checksum.
+        size_t most = f.insts.size();
+        for (const Inst &inst : f.insts)
+            most += inst.op == Opcode::CondBr ||
+                            inst.op == Opcode::Checksum
+                        ? 1
+                        : 0;
+        std::vector<Inst> out;
+        out.reserve(most);
         for (BasicBlock &bb : f.blocks) {
-            std::vector<Inst> out;
-            out.reserve(bb.insts.size() + 4);
-            for (const Inst &inst : bb.insts) {
+            const uint32_t begin = static_cast<uint32_t>(out.size());
+            for (const Inst &inst : f.instsOf(bb)) {
                 if ((inst.op == Opcode::CondBr ||
                      inst.op == Opcode::Checksum) &&
                     inst.a.isReg()) {
@@ -378,8 +402,9 @@ runMsanPass(Module &m, const SanitizerContext &ctx)
                 }
                 out.push_back(inst);
             }
-            bb.insts = std::move(out);
+            bb = {begin, static_cast<uint32_t>(out.size()) - begin};
         }
+        f.insts = std::move(out);
     }
 }
 

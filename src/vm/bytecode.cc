@@ -97,7 +97,7 @@ translate(const ir::Module &m)
         blockStart[fi].reserve(fn.blocks.size());
         for (const ir::BasicBlock &bb : fn.blocks) {
             blockStart[fi].push_back(pc);
-            pc += static_cast<uint32_t>(bb.insts.size());
+            pc += bb.count;
         }
     }
     p.code.reserve(pc);
@@ -107,7 +107,7 @@ translate(const ir::Module &m)
     for (size_t fi = 0; fi < m.functions.size(); fi++) {
         const ir::Function &fn = m.functions[fi];
         for (const ir::BasicBlock &bb : fn.blocks) {
-            for (const Inst &inst : bb.insts) {
+            for (const Inst &inst : fn.instsOf(bb)) {
                 if (!opcodeHasHandler(inst.op)) {
                     UBF_PANIC("no bytecode handler for opcode #",
                               static_cast<int>(inst.op));

@@ -4,12 +4,12 @@
  * ir::Module, and the CodeCache that memoizes translations.
  *
  * The struct-walking interpreter re-fetches a fat ir::Inst through
- * `fn->blocks[block].insts[ip]` on every step, re-decodes Value
- * reg/imm tags, and drags a SourceLoc through the hot loop. The
+ * `fn->instsOf(fn->blocks[block])[ip]` on every step, re-decodes
+ * Value reg/imm tags, and drags a SourceLoc through the hot loop. The
  * flattener translates a module *once* into a dense linear program:
  *
- *  - one flat array of fixed-size instruction records (no per-block
- *    vectors, a single `code[pc]` fetch per step),
+ *  - one flat array of fixed-size instruction records for the whole
+ *    module (a single `code[pc]` fetch per step),
  *  - branch targets pre-resolved to absolute pcs (no block/ip pairs),
  *  - operands pre-decoded at translation time: reg/imm operand shapes
  *    split into distinct opcodes for the hot operations, immediates

@@ -949,7 +949,7 @@ struct Machine::Impl
     step()
     {
         Frame &f = frames_.back();
-        const Inst &inst = f.fn->blocks[f.block].insts[f.ip];
+        const Inst &inst = f.fn->instsOf(f.fn->blocks[f.block])[f.ip];
         result_.steps++;
         if (inst.loc.isValid())
             curLoc_ = inst.loc;
@@ -1922,8 +1922,11 @@ struct Machine::Impl
             f.prov[bi.dst] = bi.dst ? p : 0;
     }
 
+    // fastLoad and fastStore are forced inline: left to its heuristics,
+    // GCC 12 keeps some of their mode variants out of line, and which
+    // ones flips with unrelated edits elsewhere in this file.
     template <Mode M, bool AImm>
-    void
+    [[gnu::always_inline]] void
     fastLoad(const bc::BInst &bi, BFrame &f, uint32_t pc)
     {
         const uint64_t addr = AImm ? bi.x : f.regs[bi.a];
@@ -1968,7 +1971,7 @@ struct Machine::Impl
     }
 
     template <Mode M, bool AImm, bool BImm>
-    void
+    [[gnu::always_inline]] void
     fastStore(const bc::BInst &bi, BFrame &f, uint32_t pc)
     {
         const uint64_t addr = AImm ? bi.x : f.regs[bi.a];

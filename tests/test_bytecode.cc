@@ -220,7 +220,7 @@ TEST(ExhaustivenessDeathTest, UnknownOpcodePanicsAtTranslation)
     ir::Module mod = ir::lowerProgram(*prog, printed.map);
     // Corrupt one instruction with an opcode the flattener has never
     // heard of: the panic must fire at translation, not mid-run.
-    mod.functions[mod.mainIndex].blocks[0].insts[0].op =
+    mod.functions[mod.mainIndex].insts[0].op =
         static_cast<ir::Opcode>(0xEF);
     EXPECT_DEATH((void)vm::bc::translate(mod), "no bytecode handler");
 }

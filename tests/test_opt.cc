@@ -35,9 +35,8 @@ countOp(const ir::Module &m, ir::Opcode op)
 {
     size_t n = 0;
     for (const auto &f : m.functions)
-        for (const auto &bb : f.blocks)
-            for (const auto &inst : bb.insts)
-                n += inst.op == op ? 1 : 0;
+        for (const auto &inst : f.insts)
+            n += inst.op == op ? 1 : 0;
     return n;
 }
 
@@ -213,10 +212,9 @@ int main(void) {
     // The division is unreachable and must be gone.
     bool has_div = false;
     for (const auto &f : m.functions)
-        for (const auto &bb : f.blocks)
-            for (const auto &inst : bb.insts)
-                has_div |= inst.op == ir::Opcode::Bin &&
-                           inst.binOp == ast::BinaryOp::Div;
+        for (const auto &inst : f.insts)
+            has_div |= inst.op == ir::Opcode::Bin &&
+                       inst.binOp == ast::BinaryOp::Div;
     EXPECT_FALSE(has_div);
     EXPECT_EQ(vm::execute(m).exitCode, 3);
 }
@@ -295,12 +293,8 @@ makeFunction(std::vector<std::vector<ir::Inst>> blocks, uint32_t numRegs)
     ir::Function f;
     f.name = "f" + std::to_string(numRegs);
     f.frame.push_back({"slot", 8, 8, false, 0, 0});
-    for (auto &insts : blocks) {
-        ir::BasicBlock bb;
-        bb.id = static_cast<uint32_t>(f.blocks.size());
-        bb.insts = std::move(insts);
-        f.blocks.push_back(std::move(bb));
-    }
+    for (const auto &insts : blocks)
+        f.appendBlock(insts);
     f.numRegs = numRegs;
     return f;
 }
@@ -349,7 +343,8 @@ TEST(Opt, PerBlockFactsStayInTheirBlock)
               {inst(Opcode::Checksum, 0, reg(1)), inst(Opcode::Ret)}},
              2)}),
          [](const ir::Module &m) {
-             const ir::Inst &use = m.functions[0].blocks[1].insts[0];
+             const ir::Function &f = m.functions[0];
+             const ir::Inst &use = f.instsOf(f.blocks[1])[0];
              EXPECT_TRUE(use.a.isReg());
              EXPECT_EQ(use.a.reg, 1u);
          }});
@@ -363,9 +358,10 @@ TEST(Opt, PerBlockFactsStayInTheirBlock)
                inst(Opcode::Checksum, 0, reg(2)), inst(Opcode::Ret)}},
              3)}),
          [](const ir::Module &m) {
-             const ir::BasicBlock &bb = m.functions[0].blocks[1];
-             EXPECT_EQ(bb.insts[0].op, Opcode::Bin);
-             EXPECT_EQ(bb.insts[1].a.reg, 2u);
+             const ir::Function &f = m.functions[0];
+             const std::span<const ir::Inst> bb = f.instsOf(f.blocks[1]);
+             EXPECT_EQ(bb[0].op, Opcode::Bin);
+             EXPECT_EQ(bb[1].a.reg, 2u);
          }});
     cases.push_back(
         {"peephole: a block-1 use of a block-0 Bin is not reassociated",
@@ -382,7 +378,8 @@ TEST(Opt, PerBlockFactsStayInTheirBlock)
          [](const ir::Module &m) {
              // r3 has no definition in block 1 (its block-0 index
              // would name r5's Bin there).
-             const ir::Inst &add = m.functions[0].blocks[1].insts[0];
+             const ir::Function &f = m.functions[0];
+             const ir::Inst &add = f.instsOf(f.blocks[1])[0];
              EXPECT_EQ(add.a.reg, 3u);
              EXPECT_EQ(add.b.imm, 4u);
          }});
@@ -401,9 +398,10 @@ TEST(Opt, PerBlockFactsStayInTheirBlock)
              5)}),
          [](const ir::Module &m) {
              // Block 1 cannot resolve r1, so neither load forwards.
-             const ir::BasicBlock &bb = m.functions[0].blocks[1];
-             EXPECT_EQ(bb.insts[1].op, Opcode::Load);
-             EXPECT_EQ(bb.insts[3].op, Opcode::Load);
+             const ir::Function &f = m.functions[0];
+             const std::span<const ir::Inst> bb = f.instsOf(f.blocks[1]);
+             EXPECT_EQ(bb[1].op, Opcode::Load);
+             EXPECT_EQ(bb[3].op, Opcode::Load);
          }});
     cases.push_back(
         {"dce: function 0's uses do not keep function 1's r1 alive",
@@ -416,8 +414,8 @@ TEST(Opt, PerBlockFactsStayInTheirBlock)
                                     inst(Opcode::Ret)}},
                                   2)}),
          [](const ir::Module &m) {
-             EXPECT_EQ(m.functions[0].blocks[0].insts.size(), 3u);
-             EXPECT_EQ(m.functions[1].blocks[0].insts.size(), 1u);
+             EXPECT_EQ(m.functions[0].blocks[0].count, 3u);
+             EXPECT_EQ(m.functions[1].blocks[0].count, 1u);
          }});
     for (Case &c : cases) {
         SCOPED_TRACE(c.name);

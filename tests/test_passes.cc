@@ -3,9 +3,10 @@
  * Pass-pipeline tests: the Figure 2 pipeline reproduces pinned
  * execution-key goldens over a standard seed mix, plain and hardened,
  * and over the UB programs of that mix with their compile logs,
- * binary keys partition that mix exactly as execution keys do, each
- * hardening family runs once per module, and the hardening passes are
- * silent until a FaultPlan is armed.
+ * every pass alone leaves those programs well-formed, binary keys
+ * partition that mix exactly as execution keys do, each hardening
+ * family runs once per module, and the hardening passes are silent
+ * until a FaultPlan is armed.
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +18,9 @@
 #include "frontend/parser.h"
 #include "generator/generator.h"
 #include "harden/harden.h"
+#include "opt/pass.h"
 #include "oracle/oracle.h"
+#include "sanitizer/sanitizer.h"
 #include "support/serialize.h"
 #include "ubgen/ubgen.h"
 #include "vm/vm.h"
@@ -162,6 +165,86 @@ TEST(Passes, UBProgramMatrixMatchesPinnedKeys)
     EXPECT_GT(binaries, 1000u);
     EXPECT_GE(fired.size(), 15u);
     EXPECT_EQ(support::fnv1a(fold.data()), 0x958987aea96d92daULL);
+}
+
+/** verifyModule accepts @p m, and a clone of @p m prints and keys
+ *  the same as @p m. */
+::testing::AssertionResult
+wellFormed(const ir::Module &m)
+{
+    std::string err = ir::verifyModule(m);
+    if (!err.empty())
+        return ::testing::AssertionFailure() << err;
+    const ir::Module copy = ir::cloneModule(m);
+    if (ir::printModule(copy) != ir::printModule(m))
+        return ::testing::AssertionFailure() << "clone prints differently";
+    if (!(ir::binaryKey(copy) == ir::binaryKey(m)))
+        return ::testing::AssertionFailure() << "clone keys differently";
+    return ::testing::AssertionSuccess();
+}
+
+TEST(Passes, EachPassAloneLeavesTheUBProgramsWellFormed)
+{
+    // Every pass that erases or inserts instructions rewrites its
+    // function's block ranges itself, and specialize verifies only
+    // its final module. So run each optimizer pass, each hardening
+    // mask and the sweep above's sanitizer configurations alone on
+    // its lowered UB programs, and check the module after that one
+    // step: a rewrite that gets a range wrong fails here, at that
+    // rewrite.
+    size_t steps = 0;
+    Rng rng(20240427);
+    for (uint64_t seed = 1; seed <= 6; seed++) {
+        gen::GeneratorConfig gc;
+        gc.seed = seed;
+        auto prog = gen::generateProgram(gc);
+        ubgen::UBGenerator ubg(*prog);
+        ASSERT_TRUE(ubg.profiled()) << "seed " << seed;
+        for (const ubgen::UBProgram &ub : ubg.generateAll(rng, 4)) {
+            ast::PrintedProgram printed = ast::printProgram(*ub.program);
+            const ir::Module base =
+                compiler::lowerOnce(*ub.program, printed);
+            ASSERT_TRUE(wellFormed(base)) << "seed " << seed;
+            for (int k = 0;
+                 k <= static_cast<int>(opt::PassKind::LifetimeHoist);
+                 k++) {
+                ir::Module m = ir::cloneModule(base);
+                std::unique_ptr<opt::Pass> pass =
+                    opt::createPass(static_cast<opt::PassKind>(k));
+                for (ir::Function &f : m.functions)
+                    pass->run(m, f);
+                steps++;
+                ASSERT_TRUE(wellFormed(m))
+                    << "seed " << seed << ", pass kind " << k;
+            }
+            for (SanitizerKind s : ubgen::sanitizersFor(ub.kind)) {
+                for (const CompilerConfig &c : oracle::testingMatrix(s)) {
+                    ir::Module m = ir::cloneModule(base);
+                    san::SanitizerContext ctx;
+                    ctx.kind = s;
+                    ctx.bugs = san::ActiveBugs(
+                        c.vendor, c.effectiveVersion(), c.level);
+                    san::instrument(m, ctx);
+                    steps++;
+                    ASSERT_TRUE(wellFormed(m))
+                        << "seed " << seed << ", " << sanitizerName(s)
+                        << " " << vendorName(c.vendor) << " "
+                        << optLevelName(c.level);
+                }
+            }
+            for (uint32_t mask : {harden::kDuplicateCompare,
+                                  harden::kCfgSignature,
+                                  harden::kAllFamilies}) {
+                ir::Module m = ir::cloneModule(base);
+                harden::apply(m, mask);
+                steps++;
+                ASSERT_TRUE(wellFormed(m))
+                    << "seed " << seed << ", harden "
+                    << harden::maskStr(mask);
+            }
+        }
+    }
+    EXPECT_GT(steps, 2000u);
 }
 
 TEST(Passes, BinaryKeysPartitionLikeExecutionKeys)

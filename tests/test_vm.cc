@@ -724,26 +724,32 @@ TEST(ExecutionKey, LastByteOfAPartialInitWordChangesTheKey)
 TEST(VerifyModule, RejectsOneMalformedModulePerRule)
 {
     // A well-formed base whose main has a call, a frame object and a
-    // global, so every rule has an instruction in main to break.
+    // global, so every rule has an instruction in main to break, and
+    // two blocks (the return parks lowering on a fresh one), so every
+    // range rule has a boundary to break.
     const ir::Module base = lowerSource(R"(int g;
 int f(int x) { return x; }
 int main(void) { int y = f(g); return y; }
 )");
     ASSERT_EQ(ir::verifyModule(base), "");
+    ASSERT_EQ(base.functions.at(base.mainIndex).blocks.size(), 2u);
 
     auto mainOf = [](ir::Module &m) -> ir::Function & {
         return m.functions.at(m.mainIndex);
     };
     /** main's first instruction of opcode @p op. */
     auto inst = [&](ir::Module &m, ir::Opcode op) -> ir::Inst & {
-        for (ir::BasicBlock &bb : mainOf(m).blocks)
-            for (ir::Inst &i : bb.insts)
-                if (i.op == op)
-                    return i;
+        for (ir::Inst &i : mainOf(m).insts)
+            if (i.op == op)
+                return i;
         throw std::logic_error(std::string("no ") + ir::opcodeName(op) +
                                " in main");
     };
     auto reg = [](uint32_t r) { return ir::Value::makeReg(r); };
+    /** main's block @p b. */
+    auto block = [&](ir::Module &m, size_t b) -> ir::BasicBlock & {
+        return mainOf(m).blocks.at(b);
+    };
     /** Give main's call one more argument, @p v: its slice moves to
      *  the end of main's argument pool. */
     auto addArg = [&](ir::Module &m, ir::Value v) {
@@ -764,16 +770,46 @@ int main(void) { int y = f(g); return y; }
     };
     const std::vector<Case> cases = {
         {"no blocks", [&](ir::Module &m) { mainOf(m).blocks.clear(); }},
-        {"empty block",
-         [&](ir::Module &m) { mainOf(m).blocks[0].insts.clear(); }},
-        {"terminator placement",
-         [&](ir::Module &m) { mainOf(m).blocks[0].insts.pop_back(); }},
+        // The block ranges must tile the body.
+        {"first block not at 0",
+         [&](ir::Module &m) {
+             block(m, 0).begin++;
+             block(m, 0).count--;
+         }},
+        {"gap before bb1",
+         [&](ir::Module &m) {
+             block(m, 1).begin++;
+             block(m, 1).count--;
+         }},
+        {"overlap at bb1",
+         [&](ir::Module &m) {
+             block(m, 1).begin--;
+             block(m, 1).count++;
+         }},
+        {"bb1 range past the end of the body",
+         [&](ir::Module &m) { block(m, 1).count++; }},
+        {"instructions after the last block",
+         [&](ir::Module &m) { block(m, 1).count--; }},
+        {"empty block bb2",
+         [&](ir::Module &m) {
+             ir::Function &f = mainOf(m);
+             f.blocks.push_back(
+                 {static_cast<uint32_t>(f.insts.size()), 0});
+         }},
+        // Tiled, but bb0's terminator now opens bb1.
+        {"terminator placement in bb0",
+         [&](ir::Module &m) {
+             block(m, 0).count--;
+             block(m, 1).begin--;
+             block(m, 1).count++;
+         }},
         {"branch target out of range",
          [&](ir::Module &m) {
+             ir::Function &f = mainOf(m);
              ir::Inst br;
              br.op = ir::Opcode::Br;
-             br.targets[0] = static_cast<uint32_t>(mainOf(m).blocks.size());
-             mainOf(m).blocks[0].insts.back() = br;
+             br.targets[0] = static_cast<uint32_t>(f.blocks.size());
+             f.instsOf(f.blocks[0]).back() = br;
          }},
         {"register out of range",
          [&](ir::Module &m) {
