@@ -1,5 +1,7 @@
 #include "compiler/compiler.h"
 
+#include <algorithm>
+
 #include "harden/harden.h"
 #include "ir/lowering.h"
 #include "opt/pass.h"
@@ -48,9 +50,12 @@ earlyOptimize(ir::Module base, Vendor vendor, OptLevel level,
     return base;
 }
 
+namespace {
+
+/** specialize, running the late round through @p passes. */
 Binary
-specialize(ir::Module earlyOptimized, const CompilerConfig &config,
-           CompileStats *stats)
+specializeWith(ir::Module earlyOptimized, const CompilerConfig &config,
+               CompileStats *stats, opt::PassSet &passes)
 {
     UBF_ASSERT(vendorSupports(config.vendor, config.sanitizer),
                "sanitizer unsupported by vendor");
@@ -78,12 +83,42 @@ specialize(ir::Module earlyOptimized, const CompilerConfig &config,
                                   config.level);
     sanCtx.log = &binary.log;
     san::instrument(binary.module, sanCtx);
-    opt::runPasses(binary.module, opt::latePasses(config.level), 1);
+    opt::runRound(binary.module, opt::latePasses(config.level), passes);
     harden::apply(binary.module, config.harden);
 
     std::string verr = ir::verifyModule(binary.module);
     UBF_ASSERT(verr.empty(), "post-compile verification failed: ", verr);
     return binary;
+}
+
+size_t
+slotOf(std::pair<Vendor, OptLevel> point)
+{
+    return static_cast<size_t>(point.first) * kAllOptLevels.size() +
+           static_cast<size_t>(point.second);
+}
+
+/** @p state for a new module to start from: moved out when @p last
+ *  (nothing else reads it any more), else cloned. */
+ir::Module
+take(std::optional<ir::Module> &state, bool last)
+{
+    if (!last)
+        return ir::cloneModule(*state);
+    ir::Module m = std::move(*state);
+    state.reset();
+    return m;
+}
+
+} // namespace
+
+Binary
+specialize(ir::Module earlyOptimized, const CompilerConfig &config,
+           CompileStats *stats)
+{
+    opt::PassSet passes;
+    return specializeWith(std::move(earlyOptimized), config, stats,
+                          passes);
 }
 
 Binary
@@ -116,15 +151,18 @@ CompilationCache::baseTextHash() const
 Binary
 CompilationCache::compile(const CompilerConfig &config)
 {
-    return specialize(
+    return specializeWith(
         ir::cloneModule(earlyOptModule(config.vendor, config.level)),
-        config, &stats_);
+        config, &stats_, passes_);
 }
 
 void
 CompilationCache::adoptBase(ir::Module base)
 {
-    UBF_ASSERT(!base_ && earlyOpt_.empty(),
+    UBF_ASSERT(!base_ && std::none_of(earlyOpt_.begin(), earlyOpt_.end(),
+                                      [](const EarlyOptNode &n) {
+                                          return n.built();
+                                      }),
                "adoptBase on a cache that already lowered");
     base_ = std::move(base);
 }
@@ -146,23 +184,77 @@ SeedLoweringCache::lowerDerived(const ast::Program &derived,
     return ir::lowerProgram(derived, printedDerived.map);
 }
 
+bool
+CompilationCache::childPending(std::optional<Point> parent,
+                               std::optional<Point> except) const
+{
+    for (Vendor v : {Vendor::GCC, Vendor::LLVM}) {
+        for (OptLevel l : kAllOptLevels) {
+            const Point p{v, l};
+            if (p != except && opt::canonicalEarlyOptPoint(v, l) == p &&
+                opt::earlyOptParent(v, l) == parent &&
+                !earlyOpt_[slotOf(p)].built())
+                return true;
+        }
+    }
+    return false;
+}
+
+void
+CompilationCache::buildRound1(Point point)
+{
+    EarlyOptNode &n = earlyOpt_[slotOf(point)];
+    if (n.built())
+        return;
+    const std::vector<opt::PassKind> passes =
+        opt::earlyPasses(point.first, point.second);
+    const std::optional<Point> parent =
+        opt::earlyOptParent(point.first, point.second);
+    size_t prefix = 0;
+    if (parent) {
+        buildRound1(*parent);
+        EarlyOptNode &p = earlyOpt_[slotOf(*parent)];
+        // A one-round parent's state is its early-opt module, so it
+        // is always cloned; a multi-round parent's is free to move
+        // once its own module is built and no other child needs it.
+        n.round1 = take(p.round1, p.module && !childPending(parent, point));
+        n.changed = p.changed;
+        prefix = opt::earlyPasses(parent->first, parent->second).size();
+    } else {
+        if (!base_)
+            base_ = lowerOnce(program_, printed_, &stats_);
+        n.round1 = take(base_, !childPending(std::nullopt, point));
+    }
+    n.changed |= opt::runRound(
+        *n.round1, std::span(passes).subspan(prefix), passes_);
+}
+
 const ir::Module &
 CompilationCache::earlyOptModule(Vendor vendor, OptLevel level)
 {
     // Equivalent matrix columns (same early pipeline, same rounds)
     // share one entry — and one optimizer run.
-    auto point = opt::canonicalEarlyOptPoint(vendor, level);
-    auto it = earlyOpt_.find(point);
-    if (it != earlyOpt_.end()) {
+    const Point point = opt::canonicalEarlyOptPoint(vendor, level);
+    EarlyOptNode &n = earlyOpt_[slotOf(point)];
+    if (n.requested) {
         stats_.earlyOptCacheHits++;
-        return it->second;
+        return n.module ? *n.module : *n.round1;
     }
-    if (!base_)
-        base_ = lowerOnce(program_, printed_, &stats_);
-    return earlyOpt_
-        .emplace(point, earlyOptimize(ir::cloneModule(*base_),
-                                      point.first, point.second, &stats_))
-        .first->second;
+    n.requested = true;
+    stats_.earlyOptRuns++;
+    buildRound1(point);
+    const int rounds = opt::earlyRounds(point.second);
+    if (rounds == 1)
+        return *n.round1;
+    // The rounds after the first, as opt::runPasses runs them: each
+    // one only while the last changed something.
+    n.module = take(n.round1, !childPending(point));
+    const std::vector<opt::PassKind> passes =
+        opt::earlyPasses(point.first, point.second);
+    bool changed = n.changed;
+    for (int round = 1; round < rounds && changed; round++)
+        changed = opt::runRound(*n.module, passes, passes_);
+    return *n.module;
 }
 
 } // namespace ubfuzz::compiler

@@ -20,15 +20,17 @@
  * Early optimization depends only on (vendor, level) — never on the
  * sanitizer or the simulated version — so a CompilationCache lets the
  * whole ASan/UBSan/MSan testing matrix share one lowering and one
- * early-opt run per (vendor, level). Caches are single-threaded by
- * design: the orchestrator gives every campaign unit its own, which
- * keeps `--jobs N` bit-identical to a sequential run.
+ * early-opt module per (vendor, level), each built by extending the
+ * point whose pass list its own extends (opt::earlyOptParent). Caches
+ * are single-threaded by design: the orchestrator gives every campaign
+ * unit its own, which keeps `--jobs N` bit-identical to a sequential
+ * run.
  */
 
 #ifndef UBFUZZ_COMPILER_COMPILER_H
 #define UBFUZZ_COMPILER_COMPILER_H
 
-#include <map>
+#include <array>
 #include <optional>
 #include <string>
 #include <utility>
@@ -37,6 +39,7 @@
 #include "ast/printer.h"
 #include "ir/ir.h"
 #include "ir/lowering.h"
+#include "opt/pass.h"
 #include "sanitizer/bug_catalog.h"
 #include "support/toolchain.h"
 
@@ -103,9 +106,17 @@ struct CompileStats
     /** Always 0: derived programs no longer have a cheaper path to
      *  fall back from. Kept because the serialized stats carry it. */
     size_t deltaFallbacks = 0;
-    /** Early-optimizer pipeline executions. */
+    /**
+     * Early-opt modules built: each earlyOptimize call, and each
+     * canonical point's first request to a CompilationCache. A point
+     * the cache builds only as a prefix of another (opt::
+     * earlyOptParent) counts nothing until it is asked for itself.
+     * Every specialization asks for exactly one early-opt module, so
+     * `earlyOptRuns + earlyOptCacheHits == specializations`.
+     */
     size_t earlyOptRuns = 0;
-    /** Early-opt requests served from a CompilationCache entry. */
+    /** Early-opt requests served from a CompilationCache entry: a
+     *  canonical point's every request after its first. */
     size_t earlyOptCacheHits = 0;
     /** Sanitizer + late-opt specializations (one per Binary built). */
     size_t specializations = 0;
@@ -187,10 +198,33 @@ Binary compileProgram(const ast::Program &program,
 
 /**
  * Per-program memoization of the compile-once stages: the lowered base
- * module, and the post-early-opt module per (vendor, level). One cache
- * serves a whole testing matrix — every sanitizer row reuses the same
- * early-opt modules. Not thread-safe; intended to live inside one
- * campaign unit (the orchestrator's parallelism is across units).
+ * module, and the post-early-opt module per canonical (vendor, level)
+ * point. One cache serves a whole testing matrix — every sanitizer row
+ * reuses the same early-opt modules.
+ *
+ * The canonical points form a prefix tree (opt::earlyOptParent), and
+ * the cache builds each point from its parent instead of from the
+ * base. It keeps each point's round-1 state: one round of the point's
+ * list over the base, and whether that changed anything. The root
+ * takes the base by move; every other point takes its parent's state,
+ * runs one round of only the passes past the parent's list and ORs
+ * their changed bit into the parent's. That is exact because a pass
+ * reads and writes only the function it is given (opt::Pass). A
+ * point's early-opt module is its state plus the further rounds
+ * opt::runPasses would run: one more full round at -O2 and up when
+ * round 1 changed anything. A state is cloned while something else
+ * still reads it and moved otherwise (a one-round point's state is
+ * its early-opt module; a two-round point's feeds its children and
+ * its own next round), so the cache never holds more modules than the
+ * base plus one per point: GCC -O2's state lives beside its module
+ * only until GCC -O3 takes it. For a full ASan or UBSan row that is
+ * 50 pass runs per function where running each point from the base
+ * took 79.
+ *
+ * The cache owns one opt::PassSet, which every early-opt round and
+ * every specialization's late round run through. Not thread-safe;
+ * intended to live inside one campaign unit (the orchestrator's
+ * parallelism is across units).
  */
 class CompilationCache
 {
@@ -233,20 +267,56 @@ class CompilationCache
 
     const CompileStats &stats() const { return stats_; }
 
-  private:
+    /**
+     * The early-opt module compile specializes for (@p vendor,
+     * @p level): bit-identical to earlyOptimize(cloneModule(base),
+     * vendor, level). The point's first request counts one
+     * earlyOptRun, every later one an earlyOptCacheHit; compile makes
+     * exactly one request. Valid while the cache lives.
+     */
     const ir::Module &earlyOptModule(Vendor vendor, OptLevel level);
+
+  private:
+    using Point = std::pair<Vendor, OptLevel>;
+
+    /** A canonical early-opt point's node in the prefix tree. */
+    struct EarlyOptNode
+    {
+        /** One round of the point's list over the base; dropped once
+         *  it has moved into the last module that needs it. */
+        std::optional<ir::Module> round1;
+        /** Whether round 1 changed anything. */
+        bool changed = false;
+        /** A multi-round point's early-opt module (a one-round
+         *  point's is round1), built on its first request. */
+        std::optional<ir::Module> module;
+        /** Asked for by compile (counted), not only built as a
+         *  prefix. */
+        bool requested = false;
+
+        bool built() const { return round1 || module; }
+    };
+
+    /** Build @p point's round-1 state, and its ancestors' first. */
+    void buildRound1(Point point);
+    /** Is a canonical point whose parent is @p parent (a root when
+     *  nullopt), other than @p except, not built yet? */
+    bool childPending(std::optional<Point> parent,
+                      std::optional<Point> except = std::nullopt) const;
 
     const ast::Program &program_;
     const ast::PrintedProgram &printed_;
-    /** Lowered base module; built on first use. */
+    /** Lowered base module; built on first use, moved into the
+     *  root's state. */
     std::optional<ir::Module> base_;
     /**
-     * Post-early-opt modules keyed by the canonical (vendor, level)
-     * point, which opt::canonicalEarlyOptPoint derives from the early
-     * pass lists themselves: two points share an entry only when they
-     * run the same passes for the same rounds.
+     * Early-opt nodes indexed by vendor * 5 + level; only the
+     * canonical points' (opt::canonicalEarlyOptPoint, derived from the
+     * early pass lists themselves) are used: two points share an
+     * entry only when they run the same passes for the same rounds.
      */
-    std::map<std::pair<Vendor, OptLevel>, ir::Module> earlyOpt_;
+    std::array<EarlyOptNode, 2 * kAllOptLevels.size()> earlyOpt_;
+    opt::PassSet passes_;
     /** Memoized support::fnv1a(printed_.text); computed on first
      *  use. */
     mutable std::optional<uint64_t> baseTextHash_;

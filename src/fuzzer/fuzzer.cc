@@ -783,6 +783,16 @@ statsInvariantViolation(const CampaignStats &s)
         return mismatch("lowerings != productive seeds",
                         s.compile.lowerings, s.productiveSeeds());
     }
+    // Every specialization asks for exactly one early-opt module: a
+    // canonical point's first request builds it, a repeat hits, and a
+    // point built only as another's prefix counts nothing.
+    if (s.compile.earlyOptRuns + s.compile.earlyOptCacheHits !=
+        s.compile.specializations) {
+        return mismatch("early-opt runs + hits != specializations",
+                        s.compile.earlyOptRuns +
+                            s.compile.earlyOptCacheHits,
+                        s.compile.specializations);
+    }
     // Every interpreted execution resolves through a CodeCache exactly
     // once: a flattening or a hit, never both, never neither.
     if (s.exec.executions !=

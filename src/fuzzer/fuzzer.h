@@ -530,6 +530,7 @@ uint64_t findingsDigest(const CampaignStats &stats);
  * combination of journal replay, resume, and shard merge (they are
  * per-unit identities, so any in-order fold of unit deltas preserves
  * them): `lowerings == productive seeds`,
+ * `early-opt runs + early-opt cache hits == specializations`,
  * `executions == translations + translation hits`, and
  * `machines built + corpus replays == ub programs + hardened fault
  * programs`. Returns an empty

@@ -467,32 +467,63 @@ binaryKey(const Module &m)
 const std::vector<uint8_t> &
 CycleFinder::cyclicBlocks(const Function &f)
 {
+    // One iterative Tarjan walk over the CFG, from every block not yet
+    // visited, so blocks unreachable from the entry are covered too. A
+    // block is on a loop iff its strongly connected component has two
+    // or more blocks, or it branches to itself.
     const uint32_t n = static_cast<uint32_t>(f.blocks.size());
+    // A block whose component is complete gets the largest order, so
+    // an edge into it never lowers a low-link.
+    constexpr uint32_t kDone = UINT32_MAX;
     cyclic_.assign(n, 0);
-    seen_.assign(n, 0);
-    auto pushSuccs = [&](uint32_t b) {
+    order_.assign(n, 0);
+    low_.resize(n);
+    stack_.clear();
+    frames_.clear();
+    uint32_t visited = 0;
+    auto enter = [&](uint32_t b) {
+        order_[b] = low_[b] = ++visited;
+        stack_.push_back(b);
         const Inst &term = f.instsOf(f.blocks[b]).back();
-        if (term.op == Opcode::Br)
-            work_.push_back(term.targets[0]);
-        if (term.op == Opcode::CondBr) {
-            work_.push_back(term.targets[0]);
-            work_.push_back(term.targets[1]);
-        }
+        const uint32_t succs = term.op == Opcode::Br       ? 1
+                               : term.op == Opcode::CondBr ? 2
+                                                           : 0;
+        frames_.push_back({b, 0, succs, {term.targets[0], term.targets[1]}});
     };
-    for (uint32_t start = 0; start < n; start++) {
-        work_.clear();
-        pushSuccs(start);
-        while (!work_.empty()) {
-            uint32_t b = work_.back();
-            work_.pop_back();
-            if (b == start) {
-                cyclic_[start] = 1;
-                break;
-            }
-            if (seen_[b] == start + 1)
+    for (uint32_t root = 0; root < n; root++) {
+        if (order_[root])
+            continue;
+        enter(root);
+        while (!frames_.empty()) {
+            Frame &top = frames_.back();
+            const uint32_t b = top.block;
+            if (top.edge < top.succs) {
+                const uint32_t t = top.targets[top.edge++];
+                if (t == b)
+                    cyclic_[b] = 1;
+                if (!order_[t])
+                    enter(t);
+                else
+                    low_[b] = std::min(low_[b], order_[t]);
                 continue;
-            seen_[b] = start + 1;
-            pushSuccs(b);
+            }
+            frames_.pop_back();
+            if (!frames_.empty()) {
+                const uint32_t parent = frames_.back().block;
+                low_[parent] = std::min(low_[parent], low_[b]);
+            }
+            if (low_[b] != order_[b])
+                continue;
+            // b roots a component: everything above it on the stack.
+            const bool loop = stack_.back() != b;
+            uint32_t m;
+            do {
+                m = stack_.back();
+                stack_.pop_back();
+                order_[m] = kDone;
+                if (loop)
+                    cyclic_[m] = 1;
+            } while (m != b);
         }
     }
     return cyclic_;

@@ -467,9 +467,11 @@ BinaryKey binaryKey(const Module &m);
 /**
  * The blocks of a function that can reach themselves (take part in a
  * loop). ASan's scope poisoning and GCC -O3 lifetime hoisting both
- * decide by it. The finder keeps its buffers across calls, so the pass
- * that owns one allocates only for a function with more blocks than
- * any before it.
+ * decide by it. One iterative Tarjan walk finds the strongly connected
+ * components in O(blocks + edges); a block is cyclic iff its component
+ * has two or more blocks or it branches to itself. The finder keeps
+ * its buffers across calls, so the pass that owns one allocates only
+ * for a function with more blocks than any before it.
  */
 class CycleFinder
 {
@@ -479,10 +481,23 @@ class CycleFinder
     const std::vector<uint8_t> &cyclicBlocks(const Function &f);
 
   private:
+    /** A block of the walk: its successors and the next one to take. */
+    struct Frame
+    {
+        uint32_t block;
+        uint32_t edge;
+        uint32_t succs;
+        uint32_t targets[2];
+    };
+
     std::vector<uint8_t> cyclic_;
-    /** seen_[b] == start + 1: the search from start reached b. */
-    std::vector<uint32_t> seen_;
-    std::vector<uint32_t> work_;
+    /** Visit order from 1 (0: not visited yet; UINT32_MAX once its
+     *  component is complete), and the lowest order of an open block
+     *  reachable through the walk's tree and back edges. */
+    std::vector<uint32_t> order_, low_;
+    /** The visited blocks whose component is still open. */
+    std::vector<uint32_t> stack_;
+    std::vector<Frame> frames_;
 };
 
 /**

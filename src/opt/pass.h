@@ -11,13 +11,17 @@
  * The two optimizer halves of the Figure 2 pipeline are written down
  * once, as plain pass lists: earlyPasses (before the sanitizer pass)
  * and latePasses (after the sanitizer-check optimizer). compiler::
- * earlyOptimize and compiler::specialize run them with runPasses.
+ * earlyOptimize and compiler::specialize run them with runPasses and
+ * runRound.
  */
 
 #ifndef UBFUZZ_OPT_PASS_H
 #define UBFUZZ_OPT_PASS_H
 
+#include <array>
 #include <memory>
+#include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -26,12 +30,18 @@
 
 namespace ubfuzz::opt {
 
+/**
+ * A function pass. It reads and writes only the function it is given,
+ * so a round of a list `L ++ E` over a module's functions leaves the
+ * module exactly as a round of `L` followed by a round of `E` does:
+ * the early-opt prefix tree (earlyOptParent) rests on that.
+ */
 class Pass
 {
   public:
     virtual ~Pass() = default;
-    /** Transform one function. @return true if anything changed. */
-    virtual bool run(ir::Module &m, ir::Function &f) = 0;
+    /** Transform @p f. @return true if anything changed. */
+    virtual bool run(ir::Function &f) = 0;
 };
 
 /** The function passes both vendors' pipelines are composed of. */
@@ -61,8 +71,28 @@ enum class PassKind : uint8_t {
     LifetimeHoist,
 };
 
+inline constexpr size_t kNumPassKinds =
+    static_cast<size_t>(PassKind::LifetimeHoist) + 1;
+
 /** Instantiate one pass. */
 std::unique_ptr<Pass> createPass(PassKind kind);
+
+/**
+ * One instance of each PassKind, created on first use, so the scratch
+ * tables a pass grows are reused by every list, round and function
+ * run through the set. A list that names one kind twice (ConstFold and
+ * DCE at GCC -O2) runs the same instance twice: every pass resets its
+ * tables per block or per function, so no result depends on what an
+ * instance saw before.
+ */
+class PassSet
+{
+  public:
+    Pass &get(PassKind kind);
+
+  private:
+    std::array<std::unique_ptr<Pass>, kNumPassKinds> passes_;
+};
 
 /**
  * The early optimizer for (vendor, level): the passes that run before
@@ -83,10 +113,18 @@ std::vector<PassKind> latePasses(OptLevel level);
 int earlyRounds(OptLevel level);
 
 /**
+ * One round of @p passes over @p m, `for function { for pass }`,
+ * through @p set's instances. @return whether any pass changed
+ * anything.
+ */
+bool runRound(ir::Module &m, std::span<const PassKind> passes,
+              PassSet &set);
+
+/**
  * Run @p passes over @p m in the pinned order `for round { for
- * function { for pass } }`, stopping after the first round that
- * changes nothing. test_passes pins the binary keys this order
- * produces on a standard seed mix.
+ * function { for pass } }` (runRound, on a PassSet of its own),
+ * stopping after the first round that changes nothing. test_passes
+ * pins the binary keys this order produces on a standard seed mix.
  */
 void runPasses(ir::Module &m, const std::vector<PassKind> &passes,
                int rounds);
@@ -104,6 +142,20 @@ void runPasses(ir::Module &m, const std::vector<PassKind> &passes,
  */
 std::pair<Vendor, OptLevel> canonicalEarlyOptPoint(Vendor vendor,
                                                    OptLevel level);
+
+/**
+ * The parent of the given point's canonical point in the early-opt
+ * prefix tree: the canonical point whose earlyPasses list is the
+ * longest proper prefix of its own (the first in (vendor, level) order
+ * on a tie), or std::nullopt for a root. Derived once from the lists,
+ * which make GCC -O0's bare ConstFold the one root, GCC -O1 <- -O0,
+ * -Os <- -O1, -O2 <- -Os, -O3 <- -O2, LLVM -O1 <- GCC -O0 and LLVM
+ * -O2 <- LLVM -O1. Round 1 of a point equals round 1 of its parent
+ * followed by one round of the passes past the parent's list (see
+ * Pass), which is how the CompilationCache builds it.
+ */
+std::optional<std::pair<Vendor, OptLevel>> earlyOptParent(Vendor vendor,
+                                                          OptLevel level);
 
 } // namespace ubfuzz::opt
 

@@ -11,7 +11,6 @@ namespace ubfuzz::opt {
 using ir::BasicBlock;
 using ir::Function;
 using ir::Inst;
-using ir::Module;
 using ir::Opcode;
 using ir::Value;
 using ast::BinaryOp;
@@ -121,7 +120,7 @@ class ConstFoldPass : public Pass
 {
   public:
     bool
-    run(Module &, Function &f) override
+    run(Function &f) override
     {
         UBF_COV_HIT(covFold);
         bool changed = false;
@@ -208,7 +207,7 @@ class PeepholePass : public Pass
     explicit PeepholePass(Vendor vendor) : vendor_(vendor) {}
 
     bool
-    run(Module &, Function &f) override
+    run(Function &f) override
     {
         UBF_COV_HIT(covPeephole);
         bool changed = false;
@@ -445,7 +444,7 @@ class CSEPass : public Pass
 {
   public:
     bool
-    run(Module &, Function &f) override
+    run(Function &f) override
     {
         UBF_COV_HIT(covCse);
         bool changed = false;
@@ -581,7 +580,7 @@ class StoreForwardPass : public Pass
 {
   public:
     bool
-    run(Module &, Function &f) override
+    run(Function &f) override
     {
         UBF_COV_HIT(covStoreFwd);
         bool changed = false;
@@ -689,7 +688,7 @@ class DSEPass : public Pass
 {
   public:
     bool
-    run(Module &, Function &f) override
+    run(Function &f) override
     {
         UBF_COV_HIT(covDse);
         bool changed = false;
@@ -869,7 +868,7 @@ class DCEPass : public Pass
 {
   public:
     bool
-    run(Module &, Function &f) override
+    run(Function &f) override
     {
         UBF_COV_HIT(covDce);
         bool changed = false;
@@ -914,7 +913,7 @@ class SimplifyCFGPass : public Pass
 {
   public:
     bool
-    run(Module &, Function &f) override
+    run(Function &f) override
     {
         UBF_COV_HIT(covSimplify);
         bool changed = false;
@@ -1016,7 +1015,7 @@ class LifetimeHoistPass : public Pass
 {
   public:
     bool
-    run(Module &, Function &f) override
+    run(Function &f) override
     {
         UBF_COV_HIT(covHoist);
         const std::vector<uint8_t> &cyclic = cycles_.cyclicBlocks(f);

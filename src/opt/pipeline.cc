@@ -1,5 +1,6 @@
 #include "opt/pass.h"
 
+#include <algorithm>
 #include <array>
 
 namespace ubfuzz::opt {
@@ -60,20 +61,32 @@ earlyRounds(OptLevel level)
     return optAtLeast(level, OptLevel::O2) ? 2 : 1;
 }
 
+Pass &
+PassSet::get(PassKind kind)
+{
+    std::unique_ptr<Pass> &pass = passes_[static_cast<size_t>(kind)];
+    if (!pass)
+        pass = createPass(kind);
+    return *pass;
+}
+
+bool
+runRound(ir::Module &m, std::span<const PassKind> passes, PassSet &set)
+{
+    bool changed = false;
+    for (ir::Function &f : m.functions) {
+        for (PassKind kind : passes)
+            changed |= set.get(kind).run(f);
+    }
+    return changed;
+}
+
 void
 runPasses(ir::Module &m, const std::vector<PassKind> &passes, int rounds)
 {
-    std::vector<std::unique_ptr<Pass>> group;
-    group.reserve(passes.size());
-    for (PassKind kind : passes)
-        group.push_back(createPass(kind));
+    PassSet set;
     for (int round = 0; round < rounds; round++) {
-        bool changed = false;
-        for (ir::Function &f : m.functions) {
-            for (const auto &pass : group)
-                changed |= pass->run(m, f);
-        }
-        if (!changed)
+        if (!runRound(m, passes, set))
             break;
     }
 }
@@ -106,6 +119,42 @@ canonicalEarlyOptPoint(Vendor vendor, OptLevel level)
         return t;
     }();
     return table[static_cast<size_t>(vendor)][static_cast<size_t>(level)];
+}
+
+std::optional<std::pair<Vendor, OptLevel>>
+earlyOptParent(Vendor vendor, OptLevel level)
+{
+    using Point = std::pair<Vendor, OptLevel>;
+    static const auto table = [] {
+        std::vector<Point> canonical;
+        for (Vendor v : {Vendor::GCC, Vendor::LLVM})
+            for (OptLevel l : kAllOptLevels)
+                if (canonicalEarlyOptPoint(v, l) == Point{v, l})
+                    canonical.emplace_back(v, l);
+        std::array<std::array<std::optional<Point>, 5>, 2> t{};
+        for (Point p : canonical) {
+            const std::vector<PassKind> own =
+                earlyPasses(p.first, p.second);
+            size_t longest = 0;
+            for (Point q : canonical) {
+                const std::vector<PassKind> prefix =
+                    earlyPasses(q.first, q.second);
+                // Strictly longer than the best so far, so the first
+                // of equal lists wins.
+                if (prefix.size() < own.size() &&
+                    prefix.size() > longest &&
+                    std::equal(prefix.begin(), prefix.end(),
+                               own.begin())) {
+                    longest = prefix.size();
+                    t[static_cast<size_t>(p.first)]
+                     [static_cast<size_t>(p.second)] = q;
+                }
+            }
+        }
+        return t;
+    }();
+    const auto [cv, cl] = canonicalEarlyOptPoint(vendor, level);
+    return table[static_cast<size_t>(cv)][static_cast<size_t>(cl)];
 }
 
 } // namespace ubfuzz::opt

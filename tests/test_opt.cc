@@ -5,7 +5,9 @@
  * (the "optimizers assume no UB" behaviour of §1 Challenge 2).
  */
 
+#include <algorithm>
 #include <functional>
+#include <optional>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -17,6 +19,8 @@
 #include "ir/lowering.h"
 #include "ir/reg_table.h"
 #include "opt/pass.h"
+#include "support/rng.h"
+#include "ubgen/ubgen.h"
 #include "vm/vm.h"
 
 namespace ubfuzz::opt {
@@ -54,9 +58,9 @@ TEST(ConstFold, FoldsLiteralArithmetic)
     auto fold = createPass(PassKind::ConstFold);
     auto dce = createPass(PassKind::DCE);
     for (auto &f : m.functions) {
-        fold->run(m, f);
-        fold->run(m, f);
-        dce->run(m, f);
+        fold->run(f);
+        fold->run(f);
+        dce->run(f);
     }
     EXPECT_EQ(countBin(m), 0u);
     EXPECT_EQ(vm::execute(m).exitCode, 14);
@@ -67,7 +71,7 @@ TEST(ConstFold, NeverFoldsTrappingDivision)
     ir::Module m = lower("int main(void) { return 7 / 0; }");
     auto fold = createPass(PassKind::ConstFold);
     for (auto &f : m.functions)
-        fold->run(m, f);
+        fold->run(f);
     // The division must survive folding and still trap at runtime.
     EXPECT_GT(countBin(m), 0u);
     EXPECT_EQ(vm::execute(m).kind, vm::ExecResult::Kind::Trap);
@@ -86,7 +90,7 @@ TEST(ConstFold, FoldsConstantBranches)
     ASSERT_GT(cond_before, 0u);
     auto fold = createPass(PassKind::ConstFold);
     for (auto &f : m.functions)
-        fold->run(m, f);
+        fold->run(f);
     EXPECT_EQ(countOp(m, ir::Opcode::CondBr), 0u);
     EXPECT_EQ(vm::execute(m).exitCode, 2);
 }
@@ -103,14 +107,14 @@ int main(void) {
     auto peep_llvm = createPass(PassKind::PeepholeLLVM);
     bool changed = false;
     for (auto &f : mllvm.functions)
-        changed |= peep_llvm->run(mllvm, f);
+        changed |= peep_llvm->run(f);
     EXPECT_TRUE(changed);
     EXPECT_EQ(vm::execute(mllvm).exitCode, 12);
 
     ir::Module mgcc = lower(src);
     auto peep_gcc = createPass(PassKind::PeepholeGCC);
     for (auto &f : mgcc.functions)
-        peep_gcc->run(mgcc, f);
+        peep_gcc->run(f);
     EXPECT_EQ(vm::execute(mgcc).exitCode, 12);
 }
 
@@ -125,8 +129,8 @@ int main(void) {
     auto dce = createPass(PassKind::DCE);
     bool changed = false;
     for (auto &f : m.functions) {
-        changed |= peep->run(m, f);
-        dce->run(m, f);
+        changed |= peep->run(f);
+        dce->run(f);
     }
     EXPECT_TRUE(changed);
     // The load of x is dead after x*0 -> 0.
@@ -147,9 +151,9 @@ TEST(StoreForward, ForwardsStoresAndElidesLoads)
     auto fold = createPass(PassKind::ConstFold);
     auto dce = createPass(PassKind::DCE);
     for (auto &f : m.functions) {
-        fwd->run(m, f);
-        fold->run(m, f);
-        dce->run(m, f);
+        fwd->run(f);
+        fold->run(f);
+        dce->run(f);
     }
     EXPECT_LT(countOp(m, ir::Opcode::Load), loads_before);
     EXPECT_EQ(vm::execute(m).exitCode, 42);
@@ -173,7 +177,7 @@ TEST(DSE, RemovesDeadOOBStore)
     auto dse = createPass(PassKind::DSE);
     bool changed = false;
     for (auto &f : m.functions)
-        changed |= dse->run(m, f);
+        changed |= dse->run(f);
     EXPECT_TRUE(changed);
     EXPECT_EQ(vm::execute(m, gt).kind, vm::ExecResult::Kind::Clean);
 }
@@ -189,7 +193,7 @@ int main(void) {
 )");
     auto dse = createPass(PassKind::DSE);
     for (auto &f : m.functions)
-        dse->run(m, f);
+        dse->run(f);
     EXPECT_EQ(vm::execute(m).exitCode, 7);
 }
 
@@ -206,8 +210,8 @@ int main(void) {
     auto fold = createPass(PassKind::ConstFold);
     auto simp = createPass(PassKind::SimplifyCFG);
     for (auto &f : m.functions) {
-        fold->run(m, f);
-        simp->run(m, f);
+        fold->run(f);
+        simp->run(f);
     }
     // The division is unreachable and must be gone.
     bool has_div = false;
@@ -237,7 +241,7 @@ int main(void) {
     auto hoist = createPass(PassKind::LifetimeHoist);
     bool changed = false;
     for (auto &f : m.functions)
-        changed |= hoist->run(m, f);
+        changed |= hoist->run(f);
     EXPECT_TRUE(changed);
     size_t markers_after = countOp(m, ir::Opcode::LifetimeStart) +
                            countOp(m, ir::Opcode::LifetimeEnd);
@@ -315,7 +319,7 @@ runOne(PassKind kind, ir::Module &m)
 {
     auto pass = createPass(kind);
     for (ir::Function &f : m.functions)
-        pass->run(m, f);
+        pass->run(f);
 }
 
 /**
@@ -485,22 +489,124 @@ TEST(RegTable, ResetForgetsEntriesAcrossTheEpochWrap)
     }
 }
 
+/** The per-block search ir::CycleFinder replaced, kept as its
+ *  reference: block b is cyclic iff a walk from b's successors comes
+ *  back to b. O(blocks x edges). */
+std::vector<uint8_t>
+searchFromEveryBlock(const ir::Function &f)
+{
+    const uint32_t n = static_cast<uint32_t>(f.blocks.size());
+    std::vector<uint8_t> cyclic(n, 0);
+    std::vector<uint32_t> seen(n, 0), work;
+    auto pushSuccs = [&](uint32_t b) {
+        const ir::Inst &term = f.instsOf(f.blocks[b]).back();
+        if (term.op == Opcode::Br)
+            work.push_back(term.targets[0]);
+        if (term.op == Opcode::CondBr) {
+            work.push_back(term.targets[0]);
+            work.push_back(term.targets[1]);
+        }
+    };
+    for (uint32_t start = 0; start < n; start++) {
+        work.clear();
+        pushSuccs(start);
+        while (!work.empty()) {
+            uint32_t b = work.back();
+            work.pop_back();
+            if (b == start) {
+                cyclic[start] = 1;
+                break;
+            }
+            if (seen[b] == start + 1)
+                continue;
+            seen[b] = start + 1;
+            pushSuccs(b);
+        }
+    }
+    return cyclic;
+}
+
 TEST(CycleFinder, MarksExactlyTheBlocksOnALoop)
 {
-    // 0 -> 1 -> 2 -> {1, 3}; 3 returns. Then a one-block function,
-    // to check that the reused buffers hold nothing over.
-    ir::Inst cond = inst(Opcode::CondBr, 0, reg(1));
-    cond.targets[0] = 1;
-    cond.targets[1] = 3;
-    ir::Function loop = makeFunction(
-        {{br(1)}, {br(2)}, {inst(Opcode::Const, 1), cond},
-         {inst(Opcode::Ret)}},
-        2);
-    ir::Function flat = makeFunction({{inst(Opcode::Ret)}}, 1);
+    // Hand-built CFGs, one successor list per block (none: Ret, one:
+    // Br, two: CondBr). One finder serves them all, to check that the
+    // reused buffers hold nothing over.
+    struct Case
+    {
+        const char *name;
+        std::vector<std::vector<uint32_t>> succs;
+        std::vector<uint8_t> cyclic;
+    };
+    const std::vector<Case> cases = {
+        {"loop after the entry", {{1}, {2}, {1, 3}, {}}, {0, 1, 1, 0}},
+        {"self-loop", {{1}, {1, 2}, {}}, {0, 1, 0}},
+        {"nested loops",
+         {{1}, {2, 5}, {3, 4}, {2}, {1}, {}},
+         {0, 1, 1, 1, 1, 0}},
+        {"cycle unreachable from the entry", {{}, {2}, {1}}, {0, 1, 1}},
+        {"block reaching a loop off it",
+         {{1, 2}, {2}, {3}, {2, 4}, {}},
+         {0, 0, 1, 1, 0}},
+        {"one block", {{}}, {0}},
+    };
     ir::CycleFinder finder;
-    EXPECT_EQ(finder.cyclicBlocks(loop),
-              (std::vector<uint8_t>{0, 1, 1, 0}));
-    EXPECT_EQ(finder.cyclicBlocks(flat), (std::vector<uint8_t>{0}));
+    for (const Case &c : cases) {
+        std::vector<std::vector<ir::Inst>> blocks;
+        for (const std::vector<uint32_t> &succs : c.succs) {
+            if (succs.empty()) {
+                blocks.push_back({inst(Opcode::Ret)});
+            } else if (succs.size() == 1) {
+                blocks.push_back({br(succs[0])});
+            } else {
+                ir::Inst cond = inst(Opcode::CondBr, 0, reg(1));
+                cond.targets[0] = succs[0];
+                cond.targets[1] = succs[1];
+                blocks.push_back({inst(Opcode::Const, 1), cond});
+            }
+        }
+        const ir::Function f = makeFunction(blocks, 2);
+        EXPECT_EQ(finder.cyclicBlocks(f), c.cyclic) << c.name;
+        EXPECT_EQ(searchFromEveryBlock(f), c.cyclic) << c.name;
+    }
+
+    // Every function of the UB-program sweep (test_passes.cc), as
+    // lowered and as each early-opt point leaves it: the CFGs ASan's
+    // scope poisoning and -O3 lifetime hoisting really see.
+    size_t functions = 0, withLoops = 0;
+    Rng rng(20240427);
+    for (uint64_t seed = 1; seed <= 6; seed++) {
+        gen::GeneratorConfig gc;
+        gc.seed = seed;
+        auto prog = gen::generateProgram(gc);
+        ubgen::UBGenerator ubg(*prog);
+        ASSERT_TRUE(ubg.profiled()) << "seed " << seed;
+        for (const ubgen::UBProgram &ub : ubg.generateAll(rng, 4)) {
+            ast::PrintedProgram printed = ast::printProgram(*ub.program);
+            const ir::Module base =
+                ir::lowerProgram(*ub.program, printed.map);
+            std::vector<ir::Module> modules;
+            modules.push_back(ir::cloneModule(base));
+            for (Vendor v : {Vendor::GCC, Vendor::LLVM})
+                for (OptLevel l : kAllOptLevels)
+                    if (canonicalEarlyOptPoint(v, l) ==
+                        std::pair{v, l})
+                        modules.push_back(compiler::earlyOptimize(
+                            ir::cloneModule(base), v, l));
+            for (const ir::Module &m : modules) {
+                for (const ir::Function &f : m.functions) {
+                    const std::vector<uint8_t> expected =
+                        searchFromEveryBlock(f);
+                    ASSERT_EQ(finder.cyclicBlocks(f), expected)
+                        << "seed " << seed << ", fn " << f.name;
+                    functions++;
+                    withLoops += std::count(expected.begin(),
+                                            expected.end(), 1) > 0;
+                }
+            }
+        }
+    }
+    EXPECT_GT(functions, 2000u);
+    EXPECT_GT(withLoops, 1000u);
 }
 
 /** Pipelines at every (vendor, level) preserve semantics of valid
@@ -609,6 +715,47 @@ TEST(CanonicalEarlyOpt, PointsShareTheRegistryPipeline)
     };
     for (const auto &[point, rep] : expected) {
         EXPECT_EQ(canonicalEarlyOptPoint(point.first, point.second), rep)
+            << vendorName(point.first) << " "
+            << optLevelName(point.second);
+    }
+}
+
+/** The early-opt prefix tree is derived from the pass lists too; pin
+ *  every parent it derives, so a pass-list edit that orphans a point
+ *  (which the CompilationCache would then silently rebuild from the
+ *  base) or re-parents it shows up here by name. */
+TEST(CanonicalEarlyOpt, ParentsAreTheLongestPrefixPoints)
+{
+    using P = std::pair<Vendor, OptLevel>;
+    const Vendor G = Vendor::GCC, L = Vendor::LLVM;
+    const std::vector<std::pair<P, std::optional<P>>> expected = {
+        {{G, OptLevel::O0}, std::nullopt},
+        {{G, OptLevel::O1}, P{G, OptLevel::O0}},
+        {{G, OptLevel::Os}, P{G, OptLevel::O1}},
+        {{G, OptLevel::O2}, P{G, OptLevel::Os}},
+        {{G, OptLevel::O3}, P{G, OptLevel::O2}},
+        // The other points answer for their canonical point.
+        {{L, OptLevel::O0}, std::nullopt},
+        {{L, OptLevel::O1}, P{G, OptLevel::O0}},
+        {{L, OptLevel::Os}, P{G, OptLevel::O0}},
+        {{L, OptLevel::O2}, P{L, OptLevel::O1}},
+        {{L, OptLevel::O3}, P{L, OptLevel::O1}},
+    };
+    for (const auto &[point, parent] : expected) {
+        const auto got = earlyOptParent(point.first, point.second);
+        EXPECT_EQ(got, parent)
+            << vendorName(point.first) << " "
+            << optLevelName(point.second);
+        if (!got)
+            continue;
+        // A parent is canonical and its list a proper prefix.
+        EXPECT_EQ(canonicalEarlyOptPoint(got->first, got->second), *got);
+        const std::vector<PassKind> own =
+            earlyPasses(point.first, point.second);
+        const std::vector<PassKind> prefix =
+            earlyPasses(got->first, got->second);
+        ASSERT_LT(prefix.size(), own.size());
+        EXPECT_TRUE(std::equal(prefix.begin(), prefix.end(), own.begin()))
             << vendorName(point.first) << " "
             << optLevelName(point.second);
     }

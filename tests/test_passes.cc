@@ -2,8 +2,10 @@
  * @file
  * Pass-pipeline tests: the Figure 2 pipeline reproduces pinned
  * execution-key goldens over a standard seed mix, plain and hardened,
- * and over the UB programs of that mix with their compile logs,
- * every pass alone leaves those programs well-formed, binary keys
+ * and over the UB programs of that mix with their compile logs, the
+ * cached early-opt prefix tree builds those programs' early-opt
+ * modules exactly as early opt from scratch does, every pass alone
+ * leaves them well-formed, binary keys
  * partition that mix exactly as execution keys do, each hardening
  * family runs once per module, and the hardening passes are silent
  * until a FaultPlan is armed.
@@ -123,6 +125,31 @@ TEST(Passes, HardenedPipelinesMatchPinnedKeys)
               0xe42b69d37eacaec9ULL);
 }
 
+/**
+ * Call @p fn(seed, ub, printed) on every UB program of the standard
+ * seed mix, in order: generateAll(rng, 4) over seeds 1-6 with one
+ * Rng(20240427). Stops at the first fatal failure.
+ */
+template <typename Fn>
+void
+forEachUBProgram(Fn &&fn)
+{
+    Rng rng(20240427);
+    for (uint64_t seed = 1; seed <= 6; seed++) {
+        gen::GeneratorConfig gc;
+        gc.seed = seed;
+        auto prog = gen::generateProgram(gc);
+        ubgen::UBGenerator ubg(*prog);
+        ASSERT_TRUE(ubg.profiled()) << "seed " << seed;
+        for (const ubgen::UBProgram &ub : ubg.generateAll(rng, 4)) {
+            ast::PrintedProgram printed = ast::printProgram(*ub.program);
+            fn(seed, ub, printed);
+            if (::testing::Test::HasFatalFailure())
+                return;
+        }
+    }
+}
+
 TEST(Passes, UBProgramMatrixMatchesPinnedKeys)
 {
     // The goldens above compile only safe programs, which never reach
@@ -134,37 +161,90 @@ TEST(Passes, UBProgramMatrixMatchesPinnedKeys)
     support::ByteWriter fold;
     size_t binaries = 0;
     std::set<san::BugId> fired;
-    Rng rng(20240427);
-    for (uint64_t seed = 1; seed <= 6; seed++) {
-        gen::GeneratorConfig gc;
-        gc.seed = seed;
-        auto prog = gen::generateProgram(gc);
-        ubgen::UBGenerator ubg(*prog);
-        ASSERT_TRUE(ubg.profiled()) << "seed " << seed;
-        for (const ubgen::UBProgram &ub : ubg.generateAll(rng, 4)) {
-            ast::PrintedProgram printed = ast::printProgram(*ub.program);
-            compiler::CompilationCache cache(*ub.program, printed);
-            for (SanitizerKind s : ubgen::sanitizersFor(ub.kind)) {
-                for (const CompilerConfig &c : oracle::testingMatrix(s)) {
-                    Binary b = cache.compile(c);
-                    binaries++;
-                    std::string key = ir::executionKey(b.module);
-                    fold.u64(support::fnv1a(key));
-                    fold.u64(key.size());
-                    for (const san::BugFiring &f : b.log.firings) {
-                        fired.insert(f.id);
-                        fold.u64(static_cast<uint64_t>(f.id));
-                        fold.i32(f.loc.line);
-                        fold.i32(f.loc.offset);
-                    }
+    forEachUBProgram([&](uint64_t, const ubgen::UBProgram &ub,
+                         const ast::PrintedProgram &printed) {
+        compiler::CompilationCache cache(*ub.program, printed);
+        for (SanitizerKind s : ubgen::sanitizersFor(ub.kind)) {
+            for (const CompilerConfig &c : oracle::testingMatrix(s)) {
+                Binary b = cache.compile(c);
+                binaries++;
+                std::string key = ir::executionKey(b.module);
+                fold.u64(support::fnv1a(key));
+                fold.u64(key.size());
+                for (const san::BugFiring &f : b.log.firings) {
+                    fired.insert(f.id);
+                    fold.u64(static_cast<uint64_t>(f.id));
+                    fold.i32(f.loc.line);
+                    fold.i32(f.loc.offset);
                 }
             }
         }
-    }
+    });
     // The mix must exercise the injected bugs, not just compile.
     EXPECT_GT(binaries, 1000u);
     EXPECT_GE(fired.size(), 15u);
     EXPECT_EQ(support::fnv1a(fold.data()), 0x958987aea96d92daULL);
+}
+
+TEST(Passes, EarlyOptPrefixTreeMatchesEarlyOptFromScratch)
+{
+    // A CompilationCache builds each canonical early-opt point by
+    // extending its parent's round-1 state (opt::earlyOptParent), not
+    // from the base. For every UB program of the sweep above, each
+    // module it returns must print and key the same as early opt from
+    // scratch, whatever order the points are asked for in: the
+    // testing matrix's, its reverse (GCC -O3 before its ancestors),
+    // and each point alone on a fresh cache. The counters count
+    // requests, never a prefix built on the way.
+    using Point = std::pair<Vendor, OptLevel>;
+    std::vector<Point> canonical;
+    for (Vendor v : {Vendor::GCC, Vendor::LLVM})
+        for (OptLevel l : kAllOptLevels)
+            if (opt::canonicalEarlyOptPoint(v, l) == Point{v, l})
+                canonical.emplace_back(v, l);
+    size_t programs = 0;
+    forEachUBProgram([&](uint64_t seed, const ubgen::UBProgram &ub,
+                         const ast::PrintedProgram &printed) {
+        programs++;
+        const ir::Module base = compiler::lowerOnce(*ub.program, printed);
+        // (printModule, executionKey) of each point from scratch.
+        std::map<Point, std::pair<std::string, std::string>> scratch;
+        for (const Point &p : canonical) {
+            const ir::Module m = compiler::earlyOptimize(
+                ir::cloneModule(base), p.first, p.second);
+            scratch[p] = {ir::printModule(m), ir::executionKey(m)};
+        }
+        auto check = [&](const char *order,
+                         const std::vector<Point> &requests) {
+            compiler::CompilationCache cache(*ub.program, printed);
+            std::set<Point> asked;
+            for (const auto &[v, l] : requests) {
+                const ir::Module &m = cache.earlyOptModule(v, l);
+                const Point p = opt::canonicalEarlyOptPoint(v, l);
+                asked.insert(p);
+                ASSERT_EQ(ir::printModule(m), scratch.at(p).first)
+                    << "seed " << seed << ", " << order << " order, "
+                    << vendorName(v) << " " << optLevelName(l);
+                ASSERT_EQ(ir::executionKey(m), scratch.at(p).second)
+                    << "seed " << seed << ", " << order << " order, "
+                    << vendorName(v) << " " << optLevelName(l);
+            }
+            EXPECT_EQ(cache.stats().lowerings, 1u) << order;
+            EXPECT_EQ(cache.stats().earlyOptRuns, asked.size()) << order;
+            EXPECT_EQ(cache.stats().earlyOptCacheHits,
+                      requests.size() - asked.size())
+                << order;
+        };
+        std::vector<Point> matrix;
+        for (SanitizerKind s : ubgen::sanitizersFor(ub.kind))
+            for (const CompilerConfig &c : oracle::testingMatrix(s))
+                matrix.emplace_back(c.vendor, c.level);
+        check("matrix", matrix);
+        check("reverse", {matrix.rbegin(), matrix.rend()});
+        for (const Point &p : canonical)
+            check("alone", {p});
+    });
+    EXPECT_GT(programs, 100u);
 }
 
 /** verifyModule accepts @p m, and a clone of @p m prints and keys
@@ -193,57 +273,46 @@ TEST(Passes, EachPassAloneLeavesTheUBProgramsWellFormed)
     // step: a rewrite that gets a range wrong fails here, at that
     // rewrite.
     size_t steps = 0;
-    Rng rng(20240427);
-    for (uint64_t seed = 1; seed <= 6; seed++) {
-        gen::GeneratorConfig gc;
-        gc.seed = seed;
-        auto prog = gen::generateProgram(gc);
-        ubgen::UBGenerator ubg(*prog);
-        ASSERT_TRUE(ubg.profiled()) << "seed " << seed;
-        for (const ubgen::UBProgram &ub : ubg.generateAll(rng, 4)) {
-            ast::PrintedProgram printed = ast::printProgram(*ub.program);
-            const ir::Module base =
-                compiler::lowerOnce(*ub.program, printed);
-            ASSERT_TRUE(wellFormed(base)) << "seed " << seed;
-            for (int k = 0;
-                 k <= static_cast<int>(opt::PassKind::LifetimeHoist);
-                 k++) {
+    forEachUBProgram([&](uint64_t seed, const ubgen::UBProgram &ub,
+                         const ast::PrintedProgram &printed) {
+        const ir::Module base = compiler::lowerOnce(*ub.program, printed);
+        ASSERT_TRUE(wellFormed(base)) << "seed " << seed;
+        for (int k = 0;
+             k <= static_cast<int>(opt::PassKind::LifetimeHoist); k++) {
+            ir::Module m = ir::cloneModule(base);
+            std::unique_ptr<opt::Pass> pass =
+                opt::createPass(static_cast<opt::PassKind>(k));
+            for (ir::Function &f : m.functions)
+                pass->run(f);
+            steps++;
+            ASSERT_TRUE(wellFormed(m))
+                << "seed " << seed << ", pass kind " << k;
+        }
+        for (SanitizerKind s : ubgen::sanitizersFor(ub.kind)) {
+            for (const CompilerConfig &c : oracle::testingMatrix(s)) {
                 ir::Module m = ir::cloneModule(base);
-                std::unique_ptr<opt::Pass> pass =
-                    opt::createPass(static_cast<opt::PassKind>(k));
-                for (ir::Function &f : m.functions)
-                    pass->run(m, f);
+                san::SanitizerContext ctx;
+                ctx.kind = s;
+                ctx.bugs = san::ActiveBugs(c.vendor, c.effectiveVersion(),
+                                           c.level);
+                san::instrument(m, ctx);
                 steps++;
                 ASSERT_TRUE(wellFormed(m))
-                    << "seed " << seed << ", pass kind " << k;
-            }
-            for (SanitizerKind s : ubgen::sanitizersFor(ub.kind)) {
-                for (const CompilerConfig &c : oracle::testingMatrix(s)) {
-                    ir::Module m = ir::cloneModule(base);
-                    san::SanitizerContext ctx;
-                    ctx.kind = s;
-                    ctx.bugs = san::ActiveBugs(
-                        c.vendor, c.effectiveVersion(), c.level);
-                    san::instrument(m, ctx);
-                    steps++;
-                    ASSERT_TRUE(wellFormed(m))
-                        << "seed " << seed << ", " << sanitizerName(s)
-                        << " " << vendorName(c.vendor) << " "
-                        << optLevelName(c.level);
-                }
-            }
-            for (uint32_t mask : {harden::kDuplicateCompare,
-                                  harden::kCfgSignature,
-                                  harden::kAllFamilies}) {
-                ir::Module m = ir::cloneModule(base);
-                harden::apply(m, mask);
-                steps++;
-                ASSERT_TRUE(wellFormed(m))
-                    << "seed " << seed << ", harden "
-                    << harden::maskStr(mask);
+                    << "seed " << seed << ", " << sanitizerName(s) << " "
+                    << vendorName(c.vendor) << " "
+                    << optLevelName(c.level);
             }
         }
-    }
+        for (uint32_t mask : {harden::kDuplicateCompare,
+                              harden::kCfgSignature,
+                              harden::kAllFamilies}) {
+            ir::Module m = ir::cloneModule(base);
+            harden::apply(m, mask);
+            steps++;
+            ASSERT_TRUE(wellFormed(m))
+                << "seed " << seed << ", harden " << harden::maskStr(mask);
+        }
+    });
     EXPECT_GT(steps, 2000u);
 }
 
