@@ -12,87 +12,23 @@ namespace fs = std::filesystem;
 using support::ByteReader;
 using support::ByteWriter;
 
+/** The manifest's fields after the file's magic. Outside the anonymous
+ *  namespace: the ByteWriter and ByteReader find it by argument-
+ *  dependent lookup. */
+template <class IO, support::MaybeConst<Manifest> S>
+void
+walk(IO &io, S &m)
+{
+    io(m.formatVersion, m.codeVersion, m.campaignSeed, m.configHash,
+       m.shard.index, m.shard.count, m.unitCount);
+}
+
 namespace {
 
 /** 8-byte journal magic "UBFJRNL1" as the little-endian u64 it is
  *  stored as; the trailing '1' is a coarse format marker on top of the
  *  explicit version field. */
 constexpr uint64_t kMagic = 0x314C4E524A464255ULL;
-
-/** Frame header: payload length (u32) + FNV-1a checksum (u64). */
-constexpr size_t kFrameHeaderSize = 12;
-
-void
-putManifest(ByteWriter &w, const Manifest &m)
-{
-    w.u64(kMagic);
-    w.u32(m.formatVersion);
-    w.u32(m.codeVersion);
-    w.u64(m.campaignSeed);
-    w.u64(m.configHash);
-    w.u32(static_cast<uint32_t>(m.shard.index));
-    w.u32(static_cast<uint32_t>(m.shard.count));
-    w.u32(m.unitCount);
-}
-
-bool
-getManifest(ByteReader &r, Manifest &m)
-{
-    r.expectU64(kMagic);
-    if (!r.ok())
-        return false;
-    m.formatVersion = r.u32();
-    m.codeVersion = r.u32();
-    m.campaignSeed = r.u64();
-    m.configHash = r.u64();
-    m.shard.index = static_cast<int>(r.u32());
-    m.shard.count = static_cast<int>(r.u32());
-    m.unitCount = r.u32();
-    return r.ok();
-}
-
-std::string
-encodeRecord(const UnitRecord &rec)
-{
-    ByteWriter payload;
-    payload.u32(static_cast<uint32_t>(rec.unit));
-    payload.u8(rec.quarantined ? 1 : 0);
-    support::serialize(payload, rec.stats);
-    payload.u32(static_cast<uint32_t>(rec.memoAdds.size()));
-    for (const auto &[key, delta] : rec.memoAdds) {
-        support::serialize(payload, key);
-        support::serialize(payload, delta);
-    }
-    ByteWriter frame;
-    frame.u32(static_cast<uint32_t>(payload.size()));
-    frame.u64(support::fnv1a(payload.data()));
-    return frame.data() + payload.data();
-}
-
-bool
-decodePayload(std::string_view payload, UnitRecord &rec)
-{
-    ByteReader r(payload);
-    rec.unit = static_cast<int>(r.u32());
-    uint8_t kind = r.u8();
-    if (kind > 1)
-        return false; // unknown record kind, as fatal as a checksum miss
-    rec.quarantined = kind == 1;
-    if (!support::deserialize(r, rec.stats))
-        return false;
-    uint32_t n = r.u32();
-    for (uint32_t i = 0; i < n && r.ok(); i++) {
-        fuzzer::CorpusKey key;
-        fuzzer::CampaignStats delta;
-        if (!support::deserialize(r, key) ||
-            !support::deserialize(r, delta))
-            return false;
-        rec.memoAdds.emplace_back(std::move(key), std::move(delta));
-    }
-    // A record must consume its payload exactly; trailing garbage
-    // means a framing bug, not a tear, but both are grounds to stop.
-    return r.ok() && r.remaining() == 0;
-}
 
 /**
  * Parse everything after the manifest. Returns the byte offset just
@@ -105,20 +41,13 @@ parseRecords(std::string_view bytes, size_t start, const Manifest &m,
              std::map<int, UnitRecord> &records, std::string *error)
 {
     size_t good = start;
-    while (good < bytes.size()) {
-        std::string_view rest = bytes.substr(good);
-        if (rest.size() < kFrameHeaderSize)
-            break; // torn frame header
-        ByteReader header(rest.substr(0, kFrameHeaderSize));
-        uint32_t len = header.u32();
-        uint64_t sum = header.u64();
-        if (rest.size() < kFrameHeaderSize + len)
-            break; // torn payload
-        std::string_view payload = rest.substr(kFrameHeaderSize, len);
-        if (support::fnv1a(payload) != sum)
-            break; // corrupt payload (mid-frame overwrite ≅ tear)
+    for (size_t next = start;;) {
+        // A short, corrupt (mid-frame overwrite ≅ tear) or undecodable
+        // record ends the intact prefix: it and everything after re-run.
+        std::optional<std::string_view> payload =
+            support::readRecord(bytes, next);
         UnitRecord rec;
-        if (!decodePayload(payload, rec))
+        if (!payload || !support::decodeRecord(*payload, rec))
             break;
         if (rec.unit < 0 ||
             static_cast<uint32_t>(rec.unit) >= m.unitCount ||
@@ -135,24 +64,9 @@ parseRecords(std::string_view bytes, size_t start, const Manifest &m,
                          std::to_string(rec.unit) + " twice";
             return SIZE_MAX;
         }
-        good += kFrameHeaderSize + len;
+        good = next;
     }
     return good;
-}
-
-bool
-readFile(const std::string &path, std::string &out, std::string *error)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        if (error)
-            *error = "cannot open " + path;
-        return false;
-    }
-    std::string bytes((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-    out = std::move(bytes);
-    return true;
 }
 
 std::string
@@ -173,17 +87,9 @@ uint64_t
 configHash(const fuzzer::CampaignConfig &config)
 {
     ByteWriter w;
-    w.u64(config.seed);
-    w.i32(config.numSeeds);
-    w.u64(config.capPerKind);
-    w.i32(config.mutantsPerSeed);
-    w.u8(static_cast<uint8_t>(config.source));
-    w.b(config.useOracle);
-    w.b(config.onlyO0);
-    w.u64(config.stepLimit);
-    w.b(config.corpusDedup);
-    w.i32(config.faultsPerProgram);
-    w.u32(config.hardenPasses);
+    w(config.seed, config.numSeeds, config.capPerKind, config.mutantsPerSeed,
+      config.source, config.useOracle, config.onlyO0, config.stepLimit,
+      config.corpusDedup, config.faultsPerProgram, config.hardenPasses);
     return support::fnv1a(w.data());
 }
 
@@ -233,7 +139,8 @@ CampaignStore::open(const std::string &dir, const Manifest &expected,
             return nullptr;
         }
         ByteWriter w;
-        putManifest(w, expected);
+        w.u64(kMagic);
+        w(expected);
         // A buffered fwrite reports the full count even on a full
         // disk; the write error only surfaces at fflush.
         if (std::fwrite(w.data().data(), 1, w.size(), store->file_) !=
@@ -246,16 +153,10 @@ CampaignStore::open(const std::string &dir, const Manifest &expected,
         return store;
     }
 
-    std::string bytes;
-    if (!readFile(path.string(), bytes, error))
-        return nullptr;
-    ByteReader r(bytes);
     Manifest stored;
-    if (!getManifest(r, stored)) {
-        if (error)
-            *error = path.string() + ": corrupt or truncated manifest";
+    if (!readJournal(path.string(), stored, store->replayed_,
+                     &store->droppedTail_, error))
         return nullptr;
-    }
     if (!(stored == expected)) {
         if (error)
             *error = path.string() +
@@ -265,15 +166,12 @@ CampaignStore::open(const std::string &dir, const Manifest &expected,
                      manifestSummary(expected) + ")";
         return nullptr;
     }
-    size_t good =
-        parseRecords(bytes, r.pos(), stored, store->replayed_, error);
-    if (good == SIZE_MAX)
-        return nullptr;
-    store->droppedTail_ = bytes.size() - good;
     if (store->droppedTail_ > 0) {
         // Drop the torn tail on disk too, so the appends below land on
         // a well-formed journal.
-        fs::resize_file(path, good, ec);
+        const auto size = fs::file_size(path, ec);
+        if (!ec)
+            fs::resize_file(path, size - store->droppedTail_, ec);
         if (ec) {
             if (error)
                 *error = "cannot truncate torn tail of " + path.string();
@@ -304,7 +202,7 @@ CampaignStore::takeReplayed()
 void
 CampaignStore::append(const UnitRecord &rec)
 {
-    std::string bytes = encodeRecord(rec);
+    std::string bytes = support::encodeRecord(rec);
     std::lock_guard<std::mutex> lock(appendMu_);
     UBF_ASSERT(file_, "append on a closed store");
     size_t written = std::fwrite(bytes.data(), 1, bytes.size(), file_);
@@ -323,11 +221,18 @@ readJournal(const std::string &path, Manifest &manifest,
             std::map<int, UnitRecord> &records,
             size_t *droppedTailBytes, std::string *error)
 {
-    std::string bytes;
-    if (!readFile(path, bytes, error))
+    std::ifstream in(path, std::ios::binary);
+    if (!in) {
+        if (error)
+            *error = "cannot open " + path;
         return false;
+    }
+    const std::string bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
     ByteReader r(bytes);
-    if (!getManifest(r, manifest)) {
+    r.expectU64(kMagic);
+    r(manifest);
+    if (!r.ok()) {
         if (error)
             *error = path + ": corrupt or truncated manifest";
         return false;

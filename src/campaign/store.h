@@ -13,30 +13,32 @@
  * journaling their own unit subset merge into the same bytes as one
  * process running everything.
  *
- * On-disk layout (one file per shard, `shard-<i>-of-<N>.journal` in
- * the store directory; all integers little-endian, see
- * support/serialize.h):
+ * On-disk layout: one file per shard, `shard-<i>-of-<N>.journal` in
+ * the store directory, holding a manifest and then one unit record
+ * per journaled unit. The unit record is the one wire form of a unit's
+ * result, the same bytes an isolated worker sends its supervisor; its
+ * layout is stated once, at support::encodeRecord. All integers are
+ * little-endian:
  *
+ *   journal:   manifest | unit record*
  *   manifest:  magic "UBFJRNL1" | format version u32 | code version u32
  *              | campaign seed u64 | config hash u64
  *              | shard index u32 | shard count u32 | unit count u32
- *   record*:   payload length u32 | FNV-1a(payload) u64 | payload
- *   payload:   unit index u32 | record kind u8 | CampaignStats delta
- *              | memo-add count u32 | (CorpusKey, CampaignStats)*
  *
- * Record kinds: 0 = completed (the delta is the unit's full stats),
- * 1 = quarantined (the supervised unit exhausted its retries; the
- * delta carries only the supervision counters, so replay neither
- * re-runs nor double-counts the unit and the campaign still merges as
- * complete). Anything else fails the record, like a checksum would.
+ * A quarantine record (kind 1) marks a supervised unit that exhausted
+ * its retries: its delta carries only the supervision counters, so
+ * replay neither re-runs nor double-counts the unit and the campaign
+ * still merges as complete.
  *
  * Crash safety: records are framed with a length and checksum and the
  * file is flushed after every append, so a crash can only tear the
- * *final* record. Recovery parses records until the first frame that
- * is short, fails its checksum, or fails to deserialize; everything
- * from there on is dropped (the file is truncated back to the last
- * good byte) and the torn unit simply re-runs. test_store truncates a
- * journal at every byte offset of its last record to prove this.
+ * *final* record. Recovery parses records until the first one that is
+ * short, fails its checksum, or fails to decode (the decoder checks
+ * every value, enum bytes included, rather than trust the checksum);
+ * everything from there on is dropped (the file is truncated back to
+ * the last good byte) and the torn unit simply re-runs. test_store
+ * truncates a journal at every byte offset of its last record to
+ * prove this.
  */
 
 #ifndef UBFUZZ_CAMPAIGN_STORE_H

@@ -130,16 +130,20 @@ struct CompileStats
      */
     size_t traceExecutions = 0;
 
+    /** Every counter once, in wire order: merge and the serializer
+     *  (support/serialize.h) both walk this list. */
+    static constexpr size_t CompileStats::*kCounters[] = {
+        &CompileStats::lowerings,         &CompileStats::deltaLowerings,
+        &CompileStats::deltaFallbacks,    &CompileStats::earlyOptRuns,
+        &CompileStats::earlyOptCacheHits, &CompileStats::specializations,
+        &CompileStats::traceExecutions,
+    };
+
     void
     merge(const CompileStats &o)
     {
-        lowerings += o.lowerings;
-        deltaLowerings += o.deltaLowerings;
-        deltaFallbacks += o.deltaFallbacks;
-        earlyOptRuns += o.earlyOptRuns;
-        earlyOptCacheHits += o.earlyOptCacheHits;
-        specializations += o.specializations;
-        traceExecutions += o.traceExecutions;
+        for (auto counter : kCounters)
+            this->*counter += o.*counter;
     }
 
     friend bool operator==(const CompileStats &, const CompileStats &) =

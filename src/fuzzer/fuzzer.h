@@ -281,16 +281,20 @@ struct HardenStats
     /** Comparisons where the hardened twin behaved differently. */
     size_t driftReports = 0;
 
+    /** Every counter once, in wire order: merge and the serializer
+     *  (support/serialize.h) both walk this list. */
+    static constexpr size_t HardenStats::*kCounters[] = {
+        &HardenStats::programs,         &HardenStats::faultsInjected,
+        &HardenStats::faultsDetected,   &HardenStats::faultsMasked,
+        &HardenStats::faultsSdc,        &HardenStats::driftComparisons,
+        &HardenStats::driftReports,
+    };
+
     void
     merge(const HardenStats &o)
     {
-        programs += o.programs;
-        faultsInjected += o.faultsInjected;
-        faultsDetected += o.faultsDetected;
-        faultsMasked += o.faultsMasked;
-        faultsSdc += o.faultsSdc;
-        driftComparisons += o.driftComparisons;
-        driftReports += o.driftReports;
+        for (auto counter : kCounters)
+            this->*counter += o.*counter;
     }
 
     friend bool operator==(const HardenStats &, const HardenStats &) =

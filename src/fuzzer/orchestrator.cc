@@ -146,43 +146,41 @@ runCampaignService(const CampaignConfig &config,
     // Returns nullopt only for a stop-aborted unit, which is neither
     // journaled nor folded and re-runs on resume.
     auto runOne = [&](size_t p) -> std::optional<CampaignStats> {
-        int unit = owned[p];
         campaign::UnitRecord rec;
-        rec.unit = unit;
+        rec.unit = owned[p];
+        detail::UnitOutput out;
         if (config.isolate) {
             SuperviseOutcome sup = superviseUnit(
-                config, unit, &memo, opts.stopRequested);
+                config, rec.unit, &memo, opts.stopRequested);
             if (sup.kind == SuperviseOutcome::Kind::Aborted)
                 return std::nullopt;
-            if (sup.kind == SuperviseOutcome::Kind::Quarantined) {
-                rec.quarantined = true;
-                rec.stats.quarantined = 1;
+            rec.quarantined =
+                sup.kind == SuperviseOutcome::Kind::Quarantined;
+            if (rec.quarantined) {
+                out.stats.quarantined = 1;
             } else {
+                out = std::move(sup.out);
                 // The supervisor, not the worker, owns the memo: fold
                 // the worker's adds in exactly as journal replay would.
-                for (auto &[key, delta] : sup.out.memoAdds)
+                for (auto &[key, delta] : out.memoAdds)
                     memo.insert(key, delta);
-                rec.stats = std::move(sup.out.stats);
-                rec.memoAdds.reserve(sup.out.memoAdds.size());
-                for (auto &[key, delta] : sup.out.memoAdds)
-                    rec.memoAdds.emplace_back(key, *delta);
             }
             // Attempt accounting merges into the unit's own journaled
             // delta, so a replay reproduces the live stats field for
             // field even for injected-failure runs.
-            rec.stats.workerCrashes += sup.workerCrashes;
-            rec.stats.workerTimeouts += sup.workerTimeouts;
-            rec.stats.retried += sup.retried;
+            out.stats.workerCrashes += sup.workerCrashes;
+            out.stats.workerTimeouts += sup.workerTimeouts;
+            out.stats.retried += sup.retried;
         } else {
-            detail::UnitOutput out =
-                detail::runCampaignUnitRecorded(config, unit, &memo);
-            rec.stats = std::move(out.stats);
+            out = detail::runCampaignUnitRecorded(config, rec.unit, &memo);
+        }
+        rec.stats = std::move(out.stats);
+        if (opts.store) {
             rec.memoAdds.reserve(out.memoAdds.size());
             for (auto &[key, delta] : out.memoAdds)
                 rec.memoAdds.emplace_back(key, *delta);
-        }
-        if (opts.store)
             opts.store->append(rec);
+        }
         return std::move(rec.stats);
     };
 

@@ -10,8 +10,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -28,56 +28,23 @@ namespace ubfuzz::fuzzer {
 std::string
 encodeUnitFrame(int unit, const detail::UnitOutput &out)
 {
-    support::ByteWriter payload;
-    payload.u32(static_cast<uint32_t>(unit));
-    support::serialize(payload, out.stats);
-    payload.u32(static_cast<uint32_t>(out.memoAdds.size()));
-    for (const auto &[key, delta] : out.memoAdds) {
-        support::serialize(payload, key);
-        support::serialize(payload, *delta);
-    }
-
-    support::ByteWriter frame;
-    frame.u32(static_cast<uint32_t>(payload.size()));
-    frame.u64(support::fnv1a(payload.data()));
-    return frame.data() + payload.data();
+    return support::encodeRecord(unit, out);
 }
 
 bool
 decodeUnitFrame(std::string_view bytes, int expectedUnit,
                 detail::UnitOutput &out)
 {
-    constexpr size_t kHeader = 4 + 8;
-    if (bytes.size() < kHeader)
-        return false;
-    support::ByteReader header(bytes.substr(0, kHeader));
-    uint32_t payloadLen = header.u32();
-    uint64_t checksum = header.u64();
-    // Exactly one frame: a worker writes its frame and exits, so
-    // trailing bytes are as much a tear as missing ones.
-    if (bytes.size() != kHeader + payloadLen)
-        return false;
-    std::string_view payload = bytes.substr(kHeader, payloadLen);
-    if (support::fnv1a(payload) != checksum)
-        return false;
-
-    support::ByteReader r(payload);
-    if (r.u32() != static_cast<uint32_t>(expectedUnit))
-        return false;
+    size_t end = 0;
+    std::optional<std::string_view> payload =
+        support::readRecord(bytes, end);
+    int unit = -1;
     detail::UnitOutput decoded;
-    if (!support::deserialize(r, decoded.stats))
-        return false;
-    uint32_t memoCount = r.u32();
-    for (uint32_t i = 0; i < memoCount && r.ok(); i++) {
-        CorpusKey key;
-        CampaignStats delta;
-        if (!support::deserialize(r, key) ||
-            !support::deserialize(r, delta))
-            return false;
-        decoded.memoAdds.emplace_back(
-            key, std::make_shared<const CampaignStats>(std::move(delta)));
-    }
-    if (!r.ok() || r.remaining() != 0)
+    // Exactly one record: a worker writes its frame and exits, so
+    // trailing bytes are as much a tear as missing ones.
+    if (!payload || end != bytes.size() ||
+        !support::decodeRecord(*payload, unit, decoded) ||
+        unit != expectedUnit)
         return false;
     out = std::move(decoded);
     return true;

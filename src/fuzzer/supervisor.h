@@ -7,15 +7,14 @@
  * in-process path would (same RNG stream, same corpus-memo snapshot)
  * and streams its result — the CampaignStats delta plus the corpus
  * memo entries it was the first to record — back over a pipe as one
- * checksummed frame:
+ * checksummed frame. The frame is the unit's journal record, kind 0
+ * (completed): the same bytes campaign/store appends for the unit, in
+ * the one layout stated at support::encodeRecord, read back by the
+ * same record reader and decoder.
  *
- *   frame:    payload length u32 | FNV-1a(payload) u64 | payload
- *   payload:  unit index u32 | CampaignStats delta
- *             | memo-add count u32 | (CorpusKey, CampaignStats)*
- *
- * This is the journal's record discipline (campaign/store) applied to
- * IPC: the supervisor folds a worker's delta only after the whole
- * frame arrived and its checksum and decode both passed, so a worker
+ * So the journal's record discipline applies to IPC unchanged: the
+ * supervisor folds a worker's delta only after the whole frame
+ * arrived and its checksum and decode both passed, so a worker
  * that dies mid-write — at any byte offset — contributes nothing, the
  * same way a torn journal tail replays nothing. A dead, hung (past the
  * `--unit-timeout` deadline, enforced by SIGKILL), or torn worker is
@@ -43,11 +42,12 @@
 namespace ubfuzz::fuzzer {
 
 /** @{ Worker result-frame codec, shared by the supervisor, the worker,
- *  and the torn-IPC test grid. Encoding is the support/serialize
- *  little-endian codec; decode accepts exactly one complete,
- *  checksummed frame for the expected unit and rejects everything
- *  else — a truncation at any byte offset, a flipped byte, trailing
- *  garbage, or another unit's frame. */
+ *  and the torn-IPC test grid: the unit record codec of
+ *  support/serialize.h. Decode accepts exactly one complete,
+ *  checksummed, completed-unit record for the expected unit and
+ *  rejects everything else — a truncation at any byte offset, a
+ *  flipped byte, trailing garbage, a quarantine record, or another
+ *  unit's frame. */
 std::string encodeUnitFrame(int unit, const detail::UnitOutput &out);
 bool decodeUnitFrame(std::string_view bytes, int expectedUnit,
                      detail::UnitOutput &out);

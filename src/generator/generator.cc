@@ -13,6 +13,10 @@ using namespace ast;
 
 namespace {
 
+/** Nesting bounds of a statement's blocks and of an expression. */
+constexpr int kMaxBlockDepth = 3;
+constexpr int kMaxExprDepth = 3;
+
 const ScalarKind kVarKinds[] = {
     ScalarKind::S8, ScalarKind::S8, ScalarKind::U8, ScalarKind::S16,
     ScalarKind::S16, ScalarKind::U16, ScalarKind::S32, ScalarKind::S32,
@@ -698,18 +702,18 @@ class Generator
                                              AssignOp::SubAssign,
                                              AssignOp::MulAssign});
                     return prog_->ctx().make<AssignStmt>(
-                        op, eb_.ref(v), genExpr(cfg_.maxExprDepth - 1));
+                        op, eb_.ref(v), genExpr(kMaxExprDepth - 1));
                 }
                 if (rng_.percent(15)) {
                     AssignOp op = rng_.pick({AssignOp::AndAssign,
                                              AssignOp::OrAssign,
                                              AssignOp::XorAssign});
                     return prog_->ctx().make<AssignStmt>(
-                        op, eb_.ref(v), genExpr(cfg_.maxExprDepth - 1));
+                        op, eb_.ref(v), genExpr(kMaxExprDepth - 1));
                 }
                 return prog_->ctx().make<AssignStmt>(
                     AssignOp::Assign, eb_.ref(v),
-                    genExpr(cfg_.maxExprDepth));
+                    genExpr(kMaxExprDepth));
               }
               case 1: { // array[idx] = expr
                 VarDecl *a = pickArrayVar();
@@ -719,7 +723,7 @@ class Generator
                     eb_.ref(a),
                     safeIndex(a->type()->arraySize(), 2));
                 return prog_->ctx().make<AssignStmt>(
-                    AssignOp::Assign, lhs, genExpr(cfg_.maxExprDepth));
+                    AssignOp::Assign, lhs, genExpr(kMaxExprDepth));
               }
               case 2: { // *p = expr (or p[c] = expr, or *p |= expr)
                 VarDecl *p = pickPointerVar();
@@ -733,10 +737,10 @@ class Generator
                                              AssignOp::OrAssign,
                                              AssignOp::XorAssign});
                     return prog_->ctx().make<AssignStmt>(
-                        op, lhs, genExpr(cfg_.maxExprDepth - 1));
+                        op, lhs, genExpr(kMaxExprDepth - 1));
                 }
                 return prog_->ctx().make<AssignStmt>(
-                    AssignOp::Assign, lhs, genExpr(cfg_.maxExprDepth));
+                    AssignOp::Assign, lhs, genExpr(kMaxExprDepth));
               }
               case 3: { // struct field
                 VarDecl *s = pickStructVar();
@@ -747,7 +751,7 @@ class Generator
                     sd->fields()[rng_.index(sd->fields())];
                 return prog_->ctx().make<AssignStmt>(
                     AssignOp::Assign, eb_.member(eb_.ref(s), f, false),
-                    genExpr(cfg_.maxExprDepth));
+                    genExpr(kMaxExprDepth));
               }
               case 4: { // sp->field = expr
                 VarDecl *sp = pickStructPtrVar();
@@ -759,7 +763,7 @@ class Generator
                     sd->fields()[rng_.index(sd->fields())];
                 return prog_->ctx().make<AssignStmt>(
                     AssignOp::Assign, eb_.member(eb_.ref(sp), f, true),
-                    genExpr(cfg_.maxExprDepth));
+                    genExpr(kMaxExprDepth));
               }
               default: { // struct copy through pointer: *sp = s
                 VarDecl *sp = pickStructPtrVar();
@@ -781,7 +785,7 @@ class Generator
         }
         return prog_->ctx().make<AssignStmt>(AssignOp::Assign,
                                              eb_.ref(v),
-                                             genExpr(cfg_.maxExprDepth));
+                                             genExpr(kMaxExprDepth));
     }
 
     Block *
@@ -808,7 +812,7 @@ class Generator
             ScalarKind k = pickKind();
             auto *v = prog_->ctx().make<VarDecl>(
                 freshName("l"), tt().scalar(k), Storage::Local,
-                genExpr(cfg_.maxExprDepth - 1));
+                genExpr(kMaxExprDepth - 1));
             declare(v);
             return prog_->ctx().make<DeclStmt>(v);
           }
@@ -833,7 +837,7 @@ class Generator
                          {eb_.cast(tt().s64(), probe)}));
           }
           case 8: { // if / if-else
-            Expr *cond = genExpr(cfg_.maxExprDepth - 1);
+            Expr *cond = genExpr(kMaxExprDepth - 1);
             Block *then_b =
                 genBlock(depth - 1,
                          1 + static_cast<int>(rng_.below(3)));
@@ -945,7 +949,7 @@ class Generator
             Block *body = genBlock(
                 1, 2 + static_cast<int>(rng_.below(4)));
             body->append(prog_->ctx().make<ReturnStmt>(
-                genExpr(cfg_.maxExprDepth - 1)));
+                genExpr(kMaxExprDepth - 1)));
             fn->setBody(body);
             popScope();
             prog_->functions().push_back(fn);
@@ -988,7 +992,7 @@ class Generator
                             static_cast<uint64_t>(
                                 cfg_.maxStmtsPerBlock)));
         for (int i = 0; i < stmts; i++)
-            body->append(genStmt(cfg_.maxBlockDepth));
+            body->append(genStmt(kMaxBlockDepth));
 
         // Checksum epilogue over global state.
         for (VarDecl *g : prog_->globals()) {

@@ -36,8 +36,6 @@ struct GeneratorConfig
     int maxFunctions = 2;
     int maxGlobals = 10;
     int maxStmtsPerBlock = 7;
-    int maxBlockDepth = 3;
-    int maxExprDepth = 3;
 };
 
 /** Generate one program. Deterministic in the config (incl. seed). */

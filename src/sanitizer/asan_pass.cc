@@ -161,7 +161,6 @@ runAsanPass(Module &m, const SanitizerContext &ctx)
             }
         }
 
-        const std::vector<uint8_t> &cyclic = cycles.cyclicBlocks(f);
         // Read only by the escaped-scope bug.
         const std::vector<uint8_t> *escaped =
             escapedScopeBug ? &escapes.compute(f) : nullptr;
@@ -173,11 +172,18 @@ runAsanPass(Module &m, const SanitizerContext &ctx)
         // only the old body, so the instructions `defs` points at stay
         // put.
         size_t most = f.insts.size();
-        for (const Inst &inst : f.insts)
+        bool scopeEnds = false;
+        for (const Inst &inst : f.insts) {
             most += inst.op == Opcode::MemCopy ? 2
                     : inst.op == Opcode::Load || inst.op == Opcode::Store
                         ? 1
                         : 0;
+            scopeEnds |= inst.op == Opcode::LifetimeEnd;
+        }
+        // Read only at LifetimeEnd markers, which many functions lack.
+        // Found before the loop rewrites the block ranges it walks.
+        const std::vector<uint8_t> *cyclic =
+            scopeEnds ? &cycles.cyclicBlocks(f) : nullptr;
         std::vector<Inst> out;
         out.reserve(most);
         for (size_t b = 0; b < f.blocks.size(); b++) {
@@ -348,7 +354,7 @@ runAsanPass(Module &m, const SanitizerContext &ctx)
                     break;
                   }
                   case Opcode::LifetimeEnd: {
-                    bool in_loop = cyclic[b];
+                    bool in_loop = (*cyclic)[b];
                     covScope[vi].branch(in_loop);
                     if (ctx.bugs.active(
                             BugId::GccAsanScopePoisonLoopRemoved) &&

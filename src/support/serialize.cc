@@ -1,5 +1,6 @@
 #include "support/serialize.h"
 
+#include "campaign/store.h"
 #include "fuzzer/fuzzer.h"
 
 namespace ubfuzz::support {
@@ -13,274 +14,184 @@ fnv1a(std::string_view bytes)
     return h;
 }
 
-namespace {
+// The walks live in namespace support, not an anonymous one: the
+// ByteWriter and ByteReader find them by argument-dependent lookup.
 
+template <class IO, MaybeConst<SourceLoc> S>
 void
-putLoc(ByteWriter &w, const SourceLoc &loc)
+walk(IO &io, S &loc)
 {
-    w.i32(loc.line);
-    w.i32(loc.offset);
+    io(loc.line, loc.offset);
 }
 
+template <class IO, MaybeConst<compiler::CompilerConfig> S>
 void
-getLoc(ByteReader &r, SourceLoc &loc)
+walk(IO &io, S &c)
 {
-    loc.line = r.i32();
-    loc.offset = r.i32();
+    io(c.vendor, c.version, c.level, c.sanitizer, c.harden);
 }
 
+template <class IO, MaybeConst<fuzzer::CorpusKey> S>
 void
-putConfig(ByteWriter &w, const compiler::CompilerConfig &c)
+walk(IO &io, S &key)
 {
-    w.u8(static_cast<uint8_t>(c.vendor));
-    w.i32(c.version);
-    w.u8(static_cast<uint8_t>(c.level));
-    w.u8(static_cast<uint8_t>(c.sanitizer));
-    w.u32(c.harden);
+    io(key.textHash, key.textLen, key.kind, key.ubLoc);
 }
 
+template <class IO, MaybeConst<fuzzer::FindingRecord> S>
 void
-getConfig(ByteReader &r, compiler::CompilerConfig &c)
+walk(IO &io, S &rec)
 {
-    c.vendor = static_cast<Vendor>(r.u8());
-    c.version = r.i32();
-    c.level = static_cast<OptLevel>(r.u8());
-    c.sanitizer = static_cast<SanitizerKind>(r.u8());
-    c.harden = r.u32();
+    io(rec.kind, rec.crashing, rec.missing, rec.ubLoc, rec.groundTruthBug,
+       rec.attributedBug);
 }
 
-} // namespace
+/** compiler::CompileStats, vm::ExecStats, fuzzer::HardenStats. */
+template <class IO, class S>
+    requires requires { std::remove_const_t<S>::kCounters; }
+void
+walk(IO &io, S &counters)
+{
+    for (auto counter : std::remove_const_t<S>::kCounters)
+        io(counters.*counter);
+}
+
+template <class IO, MaybeConst<fuzzer::CampaignStats> S>
+void
+walk(IO &io, S &s)
+{
+    io(s.seeds, s.unprofiledSeeds, s.ubPrograms, s.perKind,
+       s.nonTriggering, s.noUB, s.discrepantPrograms,
+       s.oracleSelectedPrograms, s.verdictPairs, s.selectedPairs,
+       s.selectedTrueBug, s.selectedOptimization, s.droppedPairs,
+       s.droppedTrueBug, s.bugFindingCounts, s.bugFirstKind, s.bugLevels,
+       s.wrongReports, s.wrongReportBugs, s.invalidFindings, s.findings,
+       s.compile, s.exec, s.execTimeouts, s.timeoutExcluded, s.corpusSeen,
+       s.corpusDuplicates, s.harden, s.workerCrashes, s.workerTimeouts,
+       s.retried, s.quarantined);
+}
 
 void
 serialize(ByteWriter &w, const fuzzer::CorpusKey &key)
 {
-    w.u64(key.textHash);
-    w.u64(key.textLen);
-    w.u8(static_cast<uint8_t>(key.kind));
-    putLoc(w, key.ubLoc);
+    w(key);
 }
 
 bool
 deserialize(ByteReader &r, fuzzer::CorpusKey &key)
 {
-    key.textHash = r.u64();
-    key.textLen = r.u64();
-    key.kind = static_cast<ubgen::UBKind>(r.u8());
-    getLoc(r, key.ubLoc);
+    r(key);
     return r.ok();
 }
 
 void
 serialize(ByteWriter &w, const fuzzer::FindingRecord &rec)
 {
-    w.u8(static_cast<uint8_t>(rec.kind));
-    putConfig(w, rec.crashing);
-    putConfig(w, rec.missing);
-    putLoc(w, rec.ubLoc);
-    w.b(rec.groundTruthBug);
-    w.i32(rec.attributedBug);
+    w(rec);
 }
 
 bool
 deserialize(ByteReader &r, fuzzer::FindingRecord &rec)
 {
-    rec.kind = static_cast<ubgen::UBKind>(r.u8());
-    getConfig(r, rec.crashing);
-    getConfig(r, rec.missing);
-    getLoc(r, rec.ubLoc);
-    rec.groundTruthBug = r.b();
-    rec.attributedBug = r.i32();
+    r(rec);
     return r.ok();
 }
 
 void
-serialize(ByteWriter &w, const fuzzer::CampaignStats &s)
+serialize(ByteWriter &w, const fuzzer::CampaignStats &stats)
 {
-    w.u64(s.seeds);
-    w.u64(s.unprofiledSeeds);
-    w.u64(s.ubPrograms);
-    w.u32(static_cast<uint32_t>(ubgen::kNumUBKinds));
-    for (size_t k = 0; k < ubgen::kNumUBKinds; k++)
-        w.u64(s.perKind[k]);
-    w.u64(s.nonTriggering);
-    w.u64(s.noUB);
-    w.u64(s.discrepantPrograms);
-    w.u64(s.oracleSelectedPrograms);
-    w.u64(s.verdictPairs);
-    w.u64(s.selectedPairs);
-    w.u64(s.selectedTrueBug);
-    w.u64(s.selectedOptimization);
-    w.u64(s.droppedPairs);
-    w.u64(s.droppedTrueBug);
-
-    w.u32(static_cast<uint32_t>(s.bugFindingCounts.size()));
-    for (const auto &[id, n] : s.bugFindingCounts) {
-        w.u8(static_cast<uint8_t>(id));
-        w.u64(n);
-    }
-    w.u32(static_cast<uint32_t>(s.bugFirstKind.size()));
-    for (const auto &[id, kind] : s.bugFirstKind) {
-        w.u8(static_cast<uint8_t>(id));
-        w.u8(static_cast<uint8_t>(kind));
-    }
-    w.u32(static_cast<uint32_t>(s.bugLevels.size()));
-    for (const auto &[id, levels] : s.bugLevels) {
-        w.u8(static_cast<uint8_t>(id));
-        w.u32(static_cast<uint32_t>(levels.size()));
-        for (OptLevel l : levels)
-            w.u8(static_cast<uint8_t>(l));
-    }
-
-    w.u64(s.wrongReports);
-    w.u32(static_cast<uint32_t>(s.wrongReportBugs.size()));
-    for (san::BugId id : s.wrongReportBugs)
-        w.u8(static_cast<uint8_t>(id));
-    w.u64(s.invalidFindings);
-
-    w.u32(static_cast<uint32_t>(s.findings.size()));
-    for (const auto &rec : s.findings)
-        serialize(w, rec);
-
-    w.u64(s.compile.lowerings);
-    w.u64(s.compile.deltaLowerings);
-    w.u64(s.compile.deltaFallbacks);
-    w.u64(s.compile.earlyOptRuns);
-    w.u64(s.compile.earlyOptCacheHits);
-    w.u64(s.compile.specializations);
-    w.u64(s.compile.traceExecutions);
-
-    w.u64(s.exec.machinesBuilt);
-    w.u64(s.exec.resets);
-    w.u64(s.exec.executions);
-    w.u64(s.exec.translations);
-    w.u64(s.exec.translationHits);
-    w.u64(s.exec.dedupSkips);
-    w.u64(s.exec.corpusSkips);
-    w.u64(s.exec.corpusCapRejects);
-    w.u64(s.exec.translationCapRejects);
-    w.u64(s.exec.quickenedTranslations);
-    w.u64(s.exec.fusedRecords);
-    w.u64(s.exec.faultInjections);
-
-    w.u64(s.execTimeouts);
-    w.u64(s.timeoutExcluded);
-
-    w.u32(static_cast<uint32_t>(s.corpusSeen.size()));
-    for (const auto &[key, n] : s.corpusSeen) {
-        serialize(w, key);
-        w.u64(n);
-    }
-    w.u64(s.corpusDuplicates);
-
-    w.u64(s.harden.programs);
-    w.u64(s.harden.faultsInjected);
-    w.u64(s.harden.faultsDetected);
-    w.u64(s.harden.faultsMasked);
-    w.u64(s.harden.faultsSdc);
-    w.u64(s.harden.driftComparisons);
-    w.u64(s.harden.driftReports);
-
-    w.u64(s.workerCrashes);
-    w.u64(s.workerTimeouts);
-    w.u64(s.retried);
-    w.u64(s.quarantined);
+    w(stats);
 }
 
 bool
-deserialize(ByteReader &r, fuzzer::CampaignStats &s)
+deserialize(ByteReader &r, fuzzer::CampaignStats &stats)
 {
-    s = fuzzer::CampaignStats{};
-    s.seeds = r.u64();
-    s.unprofiledSeeds = r.u64();
-    s.ubPrograms = r.u64();
-    uint32_t kinds = r.u32();
-    if (kinds != ubgen::kNumUBKinds)
-        return false;
-    for (size_t k = 0; k < ubgen::kNumUBKinds; k++)
-        s.perKind[k] = r.u64();
-    s.nonTriggering = r.u64();
-    s.noUB = r.u64();
-    s.discrepantPrograms = r.u64();
-    s.oracleSelectedPrograms = r.u64();
-    s.verdictPairs = r.u64();
-    s.selectedPairs = r.u64();
-    s.selectedTrueBug = r.u64();
-    s.selectedOptimization = r.u64();
-    s.droppedPairs = r.u64();
-    s.droppedTrueBug = r.u64();
-
-    for (uint32_t i = 0, n = r.u32(); i < n && r.ok(); i++) {
-        san::BugId id = static_cast<san::BugId>(r.u8());
-        s.bugFindingCounts[id] = r.u64();
-    }
-    for (uint32_t i = 0, n = r.u32(); i < n && r.ok(); i++) {
-        san::BugId id = static_cast<san::BugId>(r.u8());
-        s.bugFirstKind[id] = static_cast<ubgen::UBKind>(r.u8());
-    }
-    for (uint32_t i = 0, n = r.u32(); i < n && r.ok(); i++) {
-        san::BugId id = static_cast<san::BugId>(r.u8());
-        auto &levels = s.bugLevels[id];
-        for (uint32_t j = 0, m = r.u32(); j < m && r.ok(); j++)
-            levels.insert(static_cast<OptLevel>(r.u8()));
-    }
-
-    s.wrongReports = r.u64();
-    for (uint32_t i = 0, n = r.u32(); i < n && r.ok(); i++)
-        s.wrongReportBugs.insert(static_cast<san::BugId>(r.u8()));
-    s.invalidFindings = r.u64();
-
-    for (uint32_t i = 0, n = r.u32(); i < n && r.ok(); i++) {
-        fuzzer::FindingRecord rec;
-        if (!deserialize(r, rec))
-            return false;
-        s.findings.push_back(rec);
-    }
-
-    s.compile.lowerings = r.u64();
-    s.compile.deltaLowerings = r.u64();
-    s.compile.deltaFallbacks = r.u64();
-    s.compile.earlyOptRuns = r.u64();
-    s.compile.earlyOptCacheHits = r.u64();
-    s.compile.specializations = r.u64();
-    s.compile.traceExecutions = r.u64();
-
-    s.exec.machinesBuilt = r.u64();
-    s.exec.resets = r.u64();
-    s.exec.executions = r.u64();
-    s.exec.translations = r.u64();
-    s.exec.translationHits = r.u64();
-    s.exec.dedupSkips = r.u64();
-    s.exec.corpusSkips = r.u64();
-    s.exec.corpusCapRejects = r.u64();
-    s.exec.translationCapRejects = r.u64();
-    s.exec.quickenedTranslations = r.u64();
-    s.exec.fusedRecords = r.u64();
-    s.exec.faultInjections = r.u64();
-
-    s.execTimeouts = r.u64();
-    s.timeoutExcluded = r.u64();
-
-    for (uint32_t i = 0, n = r.u32(); i < n && r.ok(); i++) {
-        fuzzer::CorpusKey key;
-        if (!deserialize(r, key))
-            return false;
-        s.corpusSeen[key] = r.u64();
-    }
-    s.corpusDuplicates = r.u64();
-
-    s.harden.programs = r.u64();
-    s.harden.faultsInjected = r.u64();
-    s.harden.faultsDetected = r.u64();
-    s.harden.faultsMasked = r.u64();
-    s.harden.faultsSdc = r.u64();
-    s.harden.driftComparisons = r.u64();
-    s.harden.driftReports = r.u64();
-
-    s.workerCrashes = r.u64();
-    s.workerTimeouts = r.u64();
-    s.retried = r.u64();
-    s.quarantined = r.u64();
+    r(stats);
     return r.ok();
+}
+
+namespace {
+
+/** Frame header: payload length (u32) + FNV-1a checksum (u64). */
+constexpr size_t kRecordHeaderSize = 12;
+
+/**
+ * A unit record's payload, whichever struct holds the result: a
+ * journal UnitRecord or a worker's UnitOutput. The memo adds of the two
+ * differ only in holding each delta by value or by shared_ptr, which
+ * the wire does not see.
+ */
+template <class IO, class Unit, class Quarantined, class Out>
+void
+walkRecord(IO &io, Unit &unit, Quarantined &quarantined, Out &out)
+{
+    io(unit, quarantined, out.stats, out.memoAdds);
+}
+
+template <class Out>
+std::string
+encode(int unit, bool quarantined, const Out &out)
+{
+    ByteWriter payload;
+    walkRecord(payload, unit, quarantined, out);
+    ByteWriter record;
+    record.u32(static_cast<uint32_t>(payload.size()));
+    record.u64(fnv1a(payload.data()));
+    return record.data() + payload.data();
+}
+
+template <class Out>
+bool
+decode(std::string_view payload, int &unit, bool &quarantined, Out &out)
+{
+    ByteReader r(payload);
+    walkRecord(r, unit, quarantined, out);
+    // Trailing bytes mean a framing bug, not a tear, but both are
+    // grounds to stop.
+    return r.ok() && r.remaining() == 0;
+}
+
+} // namespace
+
+std::string
+encodeRecord(const campaign::UnitRecord &rec)
+{
+    return encode(rec.unit, rec.quarantined, rec);
+}
+
+std::string
+encodeRecord(int unit, const fuzzer::detail::UnitOutput &out)
+{
+    return encode(unit, false, out);
+}
+
+bool
+decodeRecord(std::string_view payload, campaign::UnitRecord &rec)
+{
+    return decode(payload, rec.unit, rec.quarantined, rec);
+}
+
+bool
+decodeRecord(std::string_view payload, int &unit,
+             fuzzer::detail::UnitOutput &out)
+{
+    bool quarantined = false;
+    return decode(payload, unit, quarantined, out) && !quarantined;
+}
+
+std::optional<std::string_view>
+readRecord(std::string_view bytes, size_t &pos)
+{
+    ByteReader header(bytes.substr(pos));
+    uint32_t len = header.u32();
+    uint64_t sum = header.u64();
+    if (!header.ok() || header.remaining() < len)
+        return std::nullopt;
+    std::string_view payload = bytes.substr(pos + kRecordHeaderSize, len);
+    if (fnv1a(payload) != sum)
+        return std::nullopt;
+    pos += kRecordHeaderSize + len;
+    return payload;
 }
 
 } // namespace ubfuzz::support

@@ -213,21 +213,22 @@ struct ExecStats
      *  run that reached its step with a live victim). */
     size_t faultInjections = 0;
 
+    /** Every counter once, in wire order: merge and the serializer
+     *  (support/serialize.h) both walk this list. */
+    static constexpr size_t ExecStats::*kCounters[] = {
+        &ExecStats::machinesBuilt,         &ExecStats::resets,
+        &ExecStats::executions,            &ExecStats::translations,
+        &ExecStats::translationHits,       &ExecStats::dedupSkips,
+        &ExecStats::corpusSkips,           &ExecStats::corpusCapRejects,
+        &ExecStats::translationCapRejects, &ExecStats::quickenedTranslations,
+        &ExecStats::fusedRecords,          &ExecStats::faultInjections,
+    };
+
     void
     merge(const ExecStats &o)
     {
-        machinesBuilt += o.machinesBuilt;
-        resets += o.resets;
-        executions += o.executions;
-        translations += o.translations;
-        translationHits += o.translationHits;
-        dedupSkips += o.dedupSkips;
-        corpusSkips += o.corpusSkips;
-        corpusCapRejects += o.corpusCapRejects;
-        translationCapRejects += o.translationCapRejects;
-        quickenedTranslations += o.quickenedTranslations;
-        fusedRecords += o.fusedRecords;
-        faultInjections += o.faultInjections;
+        for (auto counter : kCounters)
+            this->*counter += o.*counter;
     }
 
     friend bool operator==(const ExecStats &, const ExecStats &) =

@@ -7,6 +7,8 @@
  * detected at every truncation offset instead of read out of bounds.
  */
 
+#include <functional>
+
 #include <gtest/gtest.h>
 
 #include "fuzzer/fuzzer.h"
@@ -238,6 +240,117 @@ TEST(Serialize, RejectsWrongKindCount)
     std::string bytes = w.data();
     // The kind count is the u32 after three u64 fields.
     bytes[24] = static_cast<char>(ubgen::kNumUBKinds + 1);
+    ByteReader r(bytes);
+    fuzzer::CampaignStats out;
+    EXPECT_FALSE(support::deserialize(r, out));
+}
+
+TEST(Serialize, RejectsOutOfRangeEnumBytes)
+{
+    // A checksum proves only that the bytes arrived as written, not
+    // that the writer was sound. One row per enum the codec reads: the
+    // type's last value round-trips, one past it fails deserialize —
+    // before it can reach a table indexed by it (san::bugInfo).
+    const auto lastBug = static_cast<san::BugId>(san::kNumBugs - 1);
+    const auto pastBug = static_cast<san::BugId>(san::kNumBugs);
+    const auto lastKind = static_cast<ubgen::UBKind>(ubgen::kNumUBKinds - 1);
+    const auto pastKind = static_cast<ubgen::UBKind>(ubgen::kNumUBKinds);
+    const auto pastVendor =
+        static_cast<Vendor>(static_cast<int>(Vendor::LLVM) + 1);
+    const auto pastLevel =
+        static_cast<OptLevel>(static_cast<int>(OptLevel::O3) + 1);
+    const auto pastSanitizer = static_cast<SanitizerKind>(
+        static_cast<int>(SanitizerKind::MSan) + 1);
+    using Set = std::function<void(fuzzer::CampaignStats &, bool past)>;
+    const std::vector<std::pair<const char *, Set>> rows = {
+        {"bugFindingCounts id",
+         [&](auto &s, bool past) {
+             s.bugFindingCounts[past ? pastBug : lastBug] = 1;
+         }},
+        {"bugFirstKind id",
+         [&](auto &s, bool past) {
+             s.bugFirstKind[past ? pastBug : lastBug] = lastKind;
+         }},
+        {"bugFirstKind kind",
+         [&](auto &s, bool past) {
+             s.bugFirstKind[lastBug] = past ? pastKind : lastKind;
+         }},
+        {"bugLevels id",
+         [&](auto &s, bool past) {
+             s.bugLevels[past ? pastBug : lastBug] = {OptLevel::O1};
+         }},
+        {"bugLevels level",
+         [&](auto &s, bool past) {
+             s.bugLevels[lastBug] = {past ? pastLevel : OptLevel::O3};
+         }},
+        {"wrongReportBugs id",
+         [&](auto &s, bool past) {
+             s.wrongReportBugs.insert(past ? pastBug : lastBug);
+         }},
+        {"finding kind",
+         [&](auto &s, bool past) {
+             s.findings[0].kind = past ? pastKind : lastKind;
+         }},
+        {"finding vendor",
+         [&](auto &s, bool past) {
+             s.findings[0].missing.vendor =
+                 past ? pastVendor : Vendor::LLVM;
+         }},
+        {"finding level",
+         [&](auto &s, bool past) {
+             s.findings[1].crashing.level =
+                 past ? pastLevel : OptLevel::O3;
+         }},
+        {"finding sanitizer",
+         [&](auto &s, bool past) {
+             s.findings[1].missing.sanitizer =
+                 past ? pastSanitizer : SanitizerKind::MSan;
+         }},
+        {"corpus key kind",
+         [&](auto &s, bool past) {
+             fuzzer::CorpusKey key;
+             key.kind = past ? pastKind : lastKind;
+             s.corpusSeen[key] = 1;
+         }},
+    };
+    for (const auto &[name, set] : rows) {
+        for (bool past : {false, true}) {
+            fuzzer::CampaignStats s = sampleStats();
+            set(s, past);
+            ByteWriter w;
+            support::serialize(w, s);
+            ByteReader r(w.data());
+            fuzzer::CampaignStats back;
+            EXPECT_EQ(support::deserialize(r, back), !past)
+                << name << (past ? " one past the last value" : " last");
+            if (!past)
+                EXPECT_EQ(back, s) << name;
+        }
+    }
+
+    // A CorpusKey on its own (the memo adds of a journal record).
+    fuzzer::CorpusKey key;
+    key.kind = pastKind;
+    ByteWriter w;
+    support::serialize(w, key);
+    ByteReader r(w.data());
+    fuzzer::CorpusKey back;
+    EXPECT_FALSE(support::deserialize(r, back));
+}
+
+TEST(Serialize, RejectsRepeatedMapKeys)
+{
+    // The writer never repeats a map or set key, so a repeated one is
+    // corrupt input, not a value to merge or overwrite. The sample's
+    // bugFindingCounts holds ids 1 and 8: its count is the u32 at byte
+    // 180 (three u64s, the kind count, nine per-kind u64s, ten u64s),
+    // then (id u8, count u64) pairs.
+    ByteWriter w;
+    support::serialize(w, sampleStats());
+    std::string bytes = w.data();
+    ASSERT_EQ(bytes[184], 1);
+    ASSERT_EQ(bytes[193], 8);
+    bytes[193] = 1;
     ByteReader r(bytes);
     fuzzer::CampaignStats out;
     EXPECT_FALSE(support::deserialize(r, out));

@@ -406,6 +406,50 @@ TEST(Store, CorruptedChecksumDropsRecord)
     EXPECT_TRUE(records.count(0));
 }
 
+TEST(Store, CheckedRecordWithOutOfRangeBugIdIsATornTail)
+{
+    // A record whose checksum holds but whose delta names a bug past
+    // the catalog: the decoder, not the checksum, must catch it. Resume
+    // drops it and every record after it (those units re-run), and
+    // merge refuses the store instead of handing the id to
+    // san::bugInfo.
+    TempDir dir("badenum");
+    fuzzer::CampaignConfig cfg = smallConfig();
+    Manifest m = manifestFor(cfg, ShardSpec{});
+    std::string error;
+    auto store = CampaignStore::open(dir.str(), m, false, &error);
+    ASSERT_TRUE(store) << error;
+    const fs::path journal =
+        dir.path / CampaignStore::journalFileName(m.shard);
+    size_t intact = 0;
+    for (int u = 0; u < cfg.numSeeds; u++) {
+        UnitRecord rec = sampleRecord(u);
+        if (u == 2) {
+            intact = fs::file_size(journal);
+            rec.stats.bugFindingCounts[static_cast<san::BugId>(
+                san::kNumBugs)] = 1;
+        }
+        store->append(rec);
+    }
+    store.reset();
+    const size_t full = fs::file_size(journal);
+
+    MergeResult merged = mergeStore(dir.str());
+    EXPECT_FALSE(merged.ok);
+    EXPECT_NE(merged.error.find("unit 2"), std::string::npos)
+        << merged.error;
+
+    auto resumed = CampaignStore::open(dir.str(), m, true, &error);
+    ASSERT_TRUE(resumed) << error;
+    EXPECT_EQ(resumed->droppedTailBytes(), full - intact);
+    std::map<int, UnitRecord> records = resumed->takeReplayed();
+    EXPECT_EQ(records.size(), 2u);
+    EXPECT_TRUE(records.count(0));
+    EXPECT_TRUE(records.count(1));
+    resumed.reset();
+    EXPECT_EQ(fs::file_size(journal), intact);
+}
+
 TEST(Store, DuplicateUnitIsStructuralCorruption)
 {
     TempDir dir("dup");

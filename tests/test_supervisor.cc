@@ -19,9 +19,15 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
+#include <fstream>
 #include <thread>
 
+#include <unistd.h>
+
+#include "campaign/store.h"
 #include "fuzzer/supervisor.h"
+#include "support/serialize.h"
 
 namespace ubfuzz {
 namespace {
@@ -119,6 +125,65 @@ TEST(UnitFrame, EveryTruncationAndCorruptionIsRejected)
         EXPECT_FALSE(fuzzer::decodeUnitFrame(bad, 2, sink))
             << "flip at byte " << i << " decoded";
     }
+}
+
+TEST(UnitFrame, IsTheJournalRecordOfItsUnit)
+{
+    // One wire form for a unit's result: the frame a worker sends for
+    // a real unit is byte for byte the record the journal appends for
+    // the same unit.
+    CampaignConfig cfg = tinyConfig();
+    CorpusMemo memo(cfg.corpusMemoCap);
+    UnitOutput out =
+        fuzzer::detail::runCampaignUnitRecorded(cfg, 1, &memo);
+    ASSERT_FALSE(out.memoAdds.empty());
+    const std::string frame = fuzzer::encodeUnitFrame(1, out);
+
+    namespace fs = std::filesystem;
+    const fs::path dir = fs::temp_directory_path() /
+                         ("ubfuzz_unit_frame_" + std::to_string(::getpid()));
+    fs::remove_all(dir);
+    const campaign::Manifest m =
+        campaign::manifestFor(cfg, campaign::ShardSpec{});
+    std::string error;
+    auto store = campaign::CampaignStore::open(dir.string(), m, false,
+                                               &error);
+    ASSERT_TRUE(store) << error;
+    const fs::path journal =
+        dir / campaign::CampaignStore::journalFileName(m.shard);
+    const size_t manifestBytes = fs::file_size(journal);
+    campaign::UnitRecord rec;
+    rec.unit = 1;
+    rec.stats = out.stats;
+    for (const auto &[key, delta] : out.memoAdds)
+        rec.memoAdds.emplace_back(key, *delta);
+    store->append(rec);
+    store.reset();
+    std::ifstream in(journal, std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    fs::remove_all(dir);
+    EXPECT_EQ(bytes.substr(manifestBytes), frame);
+}
+
+TEST(UnitFrame, RejectsAQuarantineRecord)
+{
+    // A quarantine record (kind 1) is a well-formed journal record, but
+    // no worker result: a worker that completes sends kind 0.
+    campaign::UnitRecord q;
+    q.unit = 3;
+    q.quarantined = true;
+    q.stats.quarantined = 1;
+    const std::string bytes = support::encodeRecord(q);
+    size_t end = 0;
+    std::optional<std::string_view> payload =
+        support::readRecord(bytes, end);
+    ASSERT_TRUE(payload);
+    campaign::UnitRecord back;
+    ASSERT_TRUE(support::decodeRecord(*payload, back));
+    EXPECT_TRUE(back.quarantined);
+    UnitOutput sink;
+    EXPECT_FALSE(fuzzer::decodeUnitFrame(bytes, 3, sink));
 }
 
 TEST(Supervisor, CompletesACrashFreeUnit)
