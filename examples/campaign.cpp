@@ -14,7 +14,8 @@
  * music, nosafe, juliet, harden. Harden mode runs the standard ubfuzz
  * campaign (same finding digest) plus the hardening differential
  * oracle: `--fault-rate` bit flips per hardened clean seed,
- * `--harden-passes` selecting the compiled-in families.
+ * `--harden-passes` selecting the compiled-in families. Both flags
+ * exit 2 in any other mode.
  *
  * A plain invocation runs one in-memory campaign. `--store DIR`
  * journals every completed unit to DIR so the campaign survives its
@@ -223,6 +224,7 @@ main(int argc, char **argv)
     bool resume = false;
     bool serve = false;
     const char *sawSupervisionFlag = nullptr;
+    const char *sawHardenFlag = nullptr;
     campaign::ShardSpec shard;
     int maxUnits = -1;
     int positional = 0;
@@ -254,6 +256,7 @@ main(int argc, char **argv)
         } else if (!std::strcmp(argv[i], "--fault-rate")) {
             cfg.faultsPerProgram = parseIntArg(
                 "--fault-rate", requireValue(argc, argv, i), 1);
+            sawHardenFlag = "--fault-rate";
         } else if (!std::strcmp(argv[i], "--harden-passes")) {
             const char *text = requireValue(argc, argv, i);
             auto mask = harden::parseMask(text);
@@ -265,6 +268,7 @@ main(int argc, char **argv)
                 return 2;
             }
             cfg.hardenPasses = *mask;
+            sawHardenFlag = "--harden-passes";
         } else if (!std::strcmp(argv[i], "--store")) {
             storeDir = requireValue(argc, argv, i);
         } else if (!std::strcmp(argv[i], "--resume")) {
@@ -344,6 +348,13 @@ main(int argc, char **argv)
     if (sawSupervisionFlag && !cfg.isolate) {
         std::fprintf(stderr, "%s requires --isolate\n",
                      sawSupervisionFlag);
+        return 2;
+    }
+    // The hardening oracle runs only in harden mode; anywhere else its
+    // flags would be ignored without a word.
+    if (sawHardenFlag && cfg.source != fuzzer::SourceMode::Harden) {
+        std::fprintf(stderr, "%s requires --mode harden\n",
+                     sawHardenFlag);
         return 2;
     }
 

@@ -50,26 +50,44 @@ earlyOptimize(ir::Module base, Vendor vendor, OptLevel level,
     return base;
 }
 
+SpecializeInputs
+specializeInputs(const CompilerConfig &config)
+{
+    return {opt::canonicalEarlyOptPoint(config.vendor, config.level),
+            opt::latePasses(config.level),
+            san::ActiveBugs(config.vendor, config.effectiveVersion(),
+                            config.level, config.sanitizer),
+            config.harden};
+}
+
 namespace {
+
+void
+verifyBinary(const ir::Module &m)
+{
+    std::string verr = ir::verifyModule(m);
+    UBF_ASSERT(verr.empty(), "post-compile verification failed: ", verr);
+}
 
 /** specialize, running the late round through @p passes. */
 Binary
-specializeWith(ir::Module earlyOptimized, const CompilerConfig &config,
-               CompileStats *stats, opt::PassSet &passes)
+specializeWith(const ir::Module &earlyOptimized,
+               const CompilerConfig &config, CompileStats *stats,
+               opt::PassSet &passes)
 {
     UBF_ASSERT(vendorSupports(config.vendor, config.sanitizer),
                "sanitizer unsupported by vendor");
-    // The clone guard, hoisted from san::instrument so it also covers
-    // plain (uninstrumented) specializations of a cached module.
     UBF_ASSERT(earlyOptimized.instrumentedWith == SanitizerKind::None &&
                    earlyOptimized.hardenedWith == 0,
-               "module already specialized "
-               "(missing ir::cloneModule before specialize?)");
+               "module already specialized (specialize takes an "
+               "early-opt module)");
     if (stats)
         stats->specializations++;
+    // Everything below reads the configuration through these inputs
+    // alone, which is what makes them a reuse key.
+    const SpecializeInputs in = specializeInputs(config);
     Binary binary;
     binary.config = config;
-    binary.module = std::move(earlyOptimized);
 
     // Figure 2 after the early optimizer: sanitizer pass + check
     // optimizer, one round of late cleanup, then hardening. Hardening
@@ -77,17 +95,13 @@ specializeWith(ir::Module earlyOptimized, const CompilerConfig &config,
     // deletes) the duplicate/compare instrumentation, mirroring where
     // ASPIS schedules its passes in the real LLVM pipeline.
     san::SanitizerContext sanCtx;
-    sanCtx.kind = config.sanitizer;
-    sanCtx.bugs = san::ActiveBugs(config.vendor,
-                                  config.effectiveVersion(),
-                                  config.level);
+    sanCtx.kind = in.bugs.sanitizer();
+    sanCtx.bugs = in.bugs;
     sanCtx.log = &binary.log;
-    san::instrument(binary.module, sanCtx);
-    opt::runRound(binary.module, opt::latePasses(config.level), passes);
-    harden::apply(binary.module, config.harden);
-
-    std::string verr = ir::verifyModule(binary.module);
-    UBF_ASSERT(verr.empty(), "post-compile verification failed: ", verr);
+    binary.module = san::instrument(earlyOptimized, sanCtx);
+    opt::runRound(binary.module, in.latePasses, passes);
+    harden::apply(binary.module, in.harden);
+    verifyBinary(binary.module);
     return binary;
 }
 
@@ -117,8 +131,7 @@ specialize(ir::Module earlyOptimized, const CompilerConfig &config,
            CompileStats *stats)
 {
     opt::PassSet passes;
-    return specializeWith(std::move(earlyOptimized), config, stats,
-                          passes);
+    return specializeWith(earlyOptimized, config, stats, passes);
 }
 
 Binary
@@ -126,8 +139,7 @@ compile(const ast::Program &program, const ast::PrintedProgram &printed,
         const CompilerConfig &config)
 {
     // One-off path: the module is private at every stage, so it moves
-    // through the pipeline without a single clone — the same cost as
-    // the pre-staged monolithic compile.
+    // through the pipeline without a clone.
     return specialize(earlyOptimize(lowerOnce(program, printed),
                                     config.vendor, config.level),
                       config);
@@ -151,9 +163,31 @@ CompilationCache::baseTextHash() const
 Binary
 CompilationCache::compile(const CompilerConfig &config)
 {
-    return specializeWith(
-        ir::cloneModule(earlyOptModule(config.vendor, config.level)),
-        config, &stats_, passes_);
+    return specializeWith(earlyOptModule(config.vendor, config.level),
+                          config, &stats_, passes_);
+}
+
+void
+CompilationCache::noteReuse(const CompilerConfig &config)
+{
+    const Point point =
+        opt::canonicalEarlyOptPoint(config.vendor, config.level);
+    UBF_ASSERT(earlyOpt_[slotOf(point)].requested, "reuse of ",
+               config.str(), " before its early-opt point was built");
+    stats_.earlyOptCacheHits++;
+    stats_.specializations++;
+}
+
+ir::Module
+CompilationCache::hardenedTwin(const ir::Module &plain,
+                               const CompilerConfig &config)
+{
+    UBF_ASSERT(plain.hardenedWith == 0, "twin of a hardened binary");
+    noteReuse(config);
+    ir::Module twin = ir::cloneModule(plain);
+    harden::apply(twin, config.harden);
+    verifyBinary(twin);
+    return twin;
 }
 
 void

@@ -15,7 +15,8 @@
  *
  *   lowerOnce      AST + SourceMap -> base module   (per program)
  *   earlyOptimize  base -> post-early-opt module    (per vendor/level)
- *   specialize     early-opt -> Binary              (per full config)
+ *   specialize     early-opt -> Binary              (per distinct
+ *                                                    SpecializeInputs)
  *
  * Early optimization depends only on (vendor, level) — never on the
  * sanitizer or the simulated version — so a CompilationCache lets the
@@ -83,6 +84,37 @@ struct Binary
 };
 
 /**
+ * Everything specialize reads besides the early-opt module it is
+ * given. specialize builds its sanitizer context, late round and
+ * hardening from these fields alone, so two configurations with equal
+ * inputs specialize one early-opt module into the same binary and the
+ * same compile log: the reuse key of oracle::ExecutionPlan::compile.
+ * A configuration's level enters only through its early-opt point,
+ * its late list and its bug set, and its version only through the bug
+ * set: LLVM -O3 reuses -O2 in every row, and LLVM -Os reuses -O1 in
+ * the ASan and MSan rows (llvm-ubsan-mul-as-add is the one LLVM bug
+ * gated at -Os).
+ */
+struct SpecializeInputs
+{
+    /** The canonical early-opt point, opt::canonicalEarlyOptPoint:
+     *  which early-opt module of a cache is specialized. */
+    std::pair<Vendor, OptLevel> earlyOptPoint;
+    /** The late round, opt::latePasses(level). */
+    std::vector<opt::PassKind> latePasses;
+    /** The sanitizer, the vendor (it picks the Table 5 coverage sites
+     *  the passes hit) and that sanitizer's active bugs. */
+    san::ActiveBugs bugs;
+    /** harden::apply's mask. */
+    uint32_t harden = 0;
+
+    friend bool operator==(const SpecializeInputs &,
+                           const SpecializeInputs &) = default;
+};
+
+SpecializeInputs specializeInputs(const CompilerConfig &config);
+
+/**
  * Execution counters for the staged pipeline. The campaign accumulates
  * these per unit (CampaignStats::compile) and bench_throughput prints
  * them, making hot-path regressions — a reintroduced re-lowering or
@@ -118,7 +150,13 @@ struct CompileStats
     /** Early-opt requests served from a CompilationCache entry: a
      *  canonical point's every request after its first. */
     size_t earlyOptCacheHits = 0;
-    /** Sanitizer + late-opt specializations (one per Binary built). */
+    /**
+     * Specialization requests: one per matrix cell and one per
+     * hardened twin, whether specialized, reused from a cell with the
+     * same SpecializeInputs, or derived from its plain binary
+     * (CompilationCache::noteReuse). Each asks for one early-opt
+     * module, which a reused cell or a twin finds built.
+     */
     size_t specializations = 0;
     /**
      * Debugger (tracing) re-executions of retained modules, each of
@@ -177,11 +215,13 @@ ir::Module earlyOptimize(ir::Module base, Vendor vendor, OptLevel level,
  * @p earlyOptimized — sanitizer instrumentation (with its
  * version-gated injected bugs), sanitizer-check optimization, one
  * round of opt::latePasses, harden::apply, and verification — and wrap
- * it in a Binary.
+ * it in a Binary. It reads the configuration only through
+ * specializeInputs.
  *
- * Takes the module by value, like earlyOptimize: cached modules must
- * come in as ir::cloneModule copies (specialize panics if a module is
- * ever specialized twice).
+ * Takes the module by value, like earlyOptimize. The sanitizer pass
+ * reads it and writes a new module, so CompilationCache::compile
+ * specializes its cached modules in place of a clone. Panics when
+ * @p earlyOptimized is a binary already (instrumented or hardened).
  */
 Binary specialize(ir::Module earlyOptimized,
                   const CompilerConfig &config,
@@ -246,6 +286,29 @@ class CompilationCache
     /** Compile under @p config, reusing every cached stage. The result
      *  is bit-identical to compile(program, printed, config). */
     Binary compile(const CompilerConfig &config);
+
+    /**
+     * Count a specialization of @p config that is served without
+     * specializing: a cell whose SpecializeInputs equal a cell this
+     * cache already built (oracle::ExecutionPlan::compile copies that
+     * binary), or a hardened twin (hardenedTwin). It counts what
+     * compile(@p config) would, one specialization and one early-opt
+     * cache hit, and panics unless @p config's early-opt point was
+     * asked for before, as the built cell's must have been.
+     */
+    void noteReuse(const CompilerConfig &config);
+
+    /**
+     * The module compile(@p config) builds, derived from @p plain:
+     * this cache's binary of @p config at harden mask 0 (or one with
+     * the same ir::BinaryKey). harden::apply runs last in specialize
+     * and does nothing at mask 0, so hardening a copy of @p plain and
+     * verifying it is all that differs; the twin's compile log is its
+     * plain binary's, since hardening fires no bug. Counts
+     * noteReuse(@p config).
+     */
+    ir::Module hardenedTwin(const ir::Module &plain,
+                            const CompilerConfig &config);
 
     /** Account one debugger (tracing) re-execution of a binary built
      *  from this cache — what used to be a recompile. */

@@ -1,6 +1,7 @@
 #include "fuzzer/fuzzer.h"
 
 #include <algorithm>
+#include <map>
 #include <optional>
 
 #include "ast/printer.h"
@@ -175,6 +176,17 @@ attributeFiring(const san::CompileLog &log, SourceLoc ubLoc, UBKind kind)
     return -1;
 }
 
+/**
+ * Builds with assertions (no NDEBUG: the ASan+UBSan Debug build) check
+ * every binary a compile shortcut served against its build from
+ * scratch, during real campaigns (Campaign::checkShortcut).
+ */
+#ifdef NDEBUG
+constexpr bool kCheckShortcuts = false;
+#else
+constexpr bool kCheckShortcuts = true;
+#endif
+
 /** A program queued for differential testing with known ground truth. */
 struct TestItem
 {
@@ -225,6 +237,7 @@ class Campaign
     CampaignStats
     runUnit(int index)
     {
+        unit_ = index;
         runUnitInner(index);
         // The unit's bytecode cache dissolves with it; fold its
         // stop-admitting count into the unit's work counters so the
@@ -401,6 +414,8 @@ class Campaign
     }
 
     CampaignConfig cfg_;
+    /** The unit being run, for reproducers. */
+    int unit_ = 0;
     CorpusMemo *memo_ = nullptr;
     std::vector<std::pair<CorpusKey, std::shared_ptr<const CampaignStats>>>
         *memoAdds_ = nullptr;
@@ -514,7 +529,8 @@ class Campaign
         // machine of this unit already ran reuse the translation.
         vm::Machine machine(&codeCache_);
         CampaignStats delta;
-        testItemMatrix(std::move(item), ub_loc, cache, machine, delta);
+        testItemMatrix(std::move(item), printed, ub_loc, cache, machine,
+                       delta);
         stats_.exec.merge(machine.stats());
         if (memo_ && cfg_.corpusDedup) {
             auto recorded = std::make_shared<const CampaignStats>(delta);
@@ -536,11 +552,101 @@ class Campaign
         detail::mergeCampaignStats(stats_, std::move(delta));
     }
 
+    /**
+     * Rebuild a binary that a shortcut served (a reused matrix cell, a
+     * hardened twin) the slow way, as compile(program, printed,
+     * config) alone, and panic with a reproducer unless it executes
+     * and logs the same. Called for every such binary in builds with
+     * assertions (kCheckShortcuts).
+     */
+    void
+    checkShortcut(const char *what, const ir::Module &module,
+                  const san::CompileLog &log,
+                  const compiler::CompilerConfig &config,
+                  const ast::Program &program,
+                  const ast::PrintedProgram &printed) const
+    {
+        const compiler::Binary slow =
+            compiler::compile(program, printed, config);
+        if (ir::executionKey(slow.module) != ir::executionKey(module) ||
+            !(slow.log == log)) {
+            UBF_PANIC(what, " differs from its build from scratch: seed ",
+                      cfg_.seed, ", unit ", unit_, ", mode ",
+                      sourceModeName(cfg_.source), ", config ",
+                      config.str());
+        }
+    }
+
+    /**
+     * Drift phase (Harden mode): every outcome's hardened twin must
+     * behave observably identically without a fault armed — hardening
+     * that changes a sanitizer report (or anything else) is a compiler
+     * bug, not a detection. Timeout on either side is incomparable
+     * (hardening multiplies the step count), not drift.
+     *
+     * A twin is harden::apply over its plain binary, and the outcomes
+     * of one alias group are one binary, so each group's twin is
+     * derived, verified and keyed once (CompilationCache::
+     * hardenedTwin), run once per outcome, and freed after its group's
+     * last outcome. Every twin counts one specialization, as the
+     * compile of each twin it replaces did.
+     */
+    void
+    driftPhase(const oracle::DifferentialResult &diff,
+               const ast::Program &program,
+               const ast::PrintedProgram &printed,
+               compiler::CompilationCache &cache, vm::Machine &machine,
+               CampaignStats &delta)
+    {
+        struct Twin
+        {
+            ir::Module module;
+            ir::BinaryKey key;
+        };
+        const std::vector<oracle::ConfigOutcome> &outcomes = diff.outcomes;
+        std::vector<size_t> lastOfGroup(outcomes.size());
+        for (size_t i = 0; i < outcomes.size(); i++)
+            lastOfGroup[outcomes[i].aliasRoot] = i;
+        // By alias root, while the group has outcomes left.
+        std::map<size_t, Twin> twins;
+        for (size_t i = 0; i < outcomes.size(); i++) {
+            const oracle::ConfigOutcome &oc = outcomes[i];
+            if (oc.result.kind == vm::ExecResult::Kind::Timeout)
+                continue;
+            compiler::CompilerConfig hc = oc.config;
+            hc.harden = cfg_.hardenPasses;
+            auto twin = twins.find(oc.aliasRoot);
+            if (twin != twins.end()) {
+                cache.noteReuse(hc);
+            } else {
+                ir::Module m = cache.hardenedTwin(
+                    outcomes[oc.aliasRoot].module, hc);
+                const ir::BinaryKey key = ir::binaryKey(m);
+                twin = twins.emplace(oc.aliasRoot, Twin{std::move(m), key})
+                           .first;
+            }
+            if (kCheckShortcuts)
+                checkShortcut("hardened twin", twin->second.module, oc.log,
+                              hc, program, printed);
+            vm::ExecOptions opts;
+            opts.stepLimit = cfg_.stepLimit;
+            vm::ExecResult hr =
+                machine.run(twin->second.module, opts, &twin->second.key);
+            if (lastOfGroup[oc.aliasRoot] == i)
+                twins.erase(twin);
+            if (hr.kind == vm::ExecResult::Kind::Timeout)
+                continue;
+            delta.harden.driftComparisons++;
+            if (!sameObservable(oc.result, hr))
+                delta.harden.driftReports++;
+        }
+    }
+
     /** The matrix proper; every statistic it produces goes into
      *  @p delta so a corpus-dedup hit can replay it verbatim. */
     void
-    testItemMatrix(TestItem item, SourceLoc ub_loc,
-                   compiler::CompilationCache &cache,
+    testItemMatrix(TestItem item, const ast::PrintedProgram &printed,
+                   SourceLoc ub_loc, compiler::CompilationCache &cache,
                    vm::Machine &machine, CampaignStats &delta)
     {
         delta.ubPrograms++;
@@ -562,31 +668,15 @@ class Campaign
                 cache, machine, configs, cfg_.stepLimit);
             delta.execTimeouts += diff.timeouts;
             delta.timeoutExcluded += diff.timeoutExcluded;
-
-            // Drift phase (Harden mode): every outcome's hardened twin
-            // must behave observably identically without a fault armed
-            // — hardening that changes a sanitizer report (or anything
-            // else) is a compiler bug, not a detection. Timeout on
-            // either side is incomparable (hardening multiplies the
-            // step count), not drift.
-            if (cfg_.source == SourceMode::Harden) {
-                for (const auto &oc : diff.outcomes) {
-                    if (oc.result.kind == vm::ExecResult::Kind::Timeout)
-                        continue;
-                    compiler::CompilerConfig hc = oc.config;
-                    hc.harden = cfg_.hardenPasses;
-                    compiler::Binary hardened = cache.compile(hc);
-                    vm::ExecOptions opts;
-                    opts.stepLimit = cfg_.stepLimit;
-                    vm::ExecResult hr =
-                        machine.run(hardened.module, opts);
-                    if (hr.kind == vm::ExecResult::Kind::Timeout)
-                        continue;
-                    delta.harden.driftComparisons++;
-                    if (!sameObservable(oc.result, hr))
-                        delta.harden.driftReports++;
-                }
+            for (const auto &oc : diff.outcomes) {
+                if (kCheckShortcuts && oc.reused)
+                    checkShortcut("reused matrix cell", oc.module, oc.log,
+                                  oc.config, *item.program, printed);
             }
+
+            if (cfg_.source == SourceMode::Harden)
+                driftPhase(diff, *item.program, printed, cache, machine,
+                           delta);
 
             // Wrong-report detection: a binary reports, but at the
             // wrong location, and a wrong-line-information defect

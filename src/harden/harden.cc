@@ -561,11 +561,10 @@ apply(Module &m, uint32_t mask)
     for (uint32_t bit : {kDuplicateCompare, kCfgSignature}) {
         if (!(mask & bit))
             continue;
-        // Per-family-once: a set bit means a cached module reached
-        // specialize without being cloned first.
+        // Per-family-once: a set bit means a binary was hardened a
+        // second time (a twin derived from a hardened binary).
         UBF_ASSERT((m.hardenedWith & bit) == 0,
-                   "module already hardened with ", familyName(bit),
-                   " (missing ir::cloneModule before specialize?)");
+                   "module already hardened with ", familyName(bit));
         m.hardenedWith |= bit;
         for (size_t fi = 0; fi < m.functions.size(); fi++) {
             if (m.functions[fi].blocks.empty())

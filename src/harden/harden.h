@@ -59,8 +59,9 @@ std::optional<uint32_t> parseMask(std::string_view text);
 /**
  * Harden every function of @p m with the families in @p mask:
  * duplicate-and-compare first, then the block signatures. Records each
- * family in Module::hardenedWith and panics when one is already there
- * (a cached module specialized without ir::cloneModule).
+ * family in Module::hardenedWith and panics when one is already there.
+ * compiler::specialize runs it last, so the hardened twin of a binary
+ * is apply over a copy of it (CompilationCache::hardenedTwin).
  */
 void apply(ir::Module &m, uint32_t mask);
 

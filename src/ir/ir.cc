@@ -56,6 +56,31 @@ cloneModule(const Module &m)
     return m;
 }
 
+Module
+cloneModuleWithoutBodies(const Module &m)
+{
+    Module out;
+    out.globals = m.globals;
+    out.mainIndex = m.mainIndex;
+    out.asanGlobals = m.asanGlobals;
+    out.asanHeap = m.asanHeap;
+    out.msan = m.msan;
+    out.instrumentedWith = m.instrumentedWith;
+    out.hardenedWith = m.hardenedWith;
+    out.functions.reserve(m.functions.size());
+    for (const Function &f : m.functions) {
+        Function &g = out.functions.emplace_back();
+        g.name = f.name;
+        g.retKind = f.retKind;
+        g.numParams = f.numParams;
+        g.frame = f.frame;
+        g.blocks = f.blocks;
+        g.numRegs = f.numRegs;
+        g.callArgs = f.callArgs;
+    }
+    return out;
+}
+
 uint64_t
 canonicalValue(uint64_t raw, ScalarKind k)
 {

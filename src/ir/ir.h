@@ -344,10 +344,10 @@ struct Module
     MsanPolicy msan;
     /**
      * Which sanitizer pass instrumented this module (None until the
-     * sanitizer stage runs). The staged compiler reuses lowered and
-     * early-optimized modules across configurations by cloning them;
-     * this field lets san::instrument reject the double
-     * instrumentation a missing clone would silently cause.
+     * sanitizer stage runs). The staged compiler specializes one
+     * cached early-opt module for many configurations; this field
+     * lets san::instrument and specialize reject a module that is a
+     * binary already.
      */
     SanitizerKind instrumentedWith = SanitizerKind::None;
     /**
@@ -378,6 +378,16 @@ struct Module
  * go through it.
  */
 Module cloneModule(const Module &m);
+
+/**
+ * cloneModule without the function bodies: every function's `insts` is
+ * empty, and everything else, its block table included, is copied. For
+ * a pass that writes each body anew while reading the old one from
+ * @p m (san::instrument), so no body is copied only to be replaced.
+ * It copies field by field: a field added to Module or Function must
+ * be added here too (Clone.WithoutBodiesKeepsEverythingElse).
+ */
+Module cloneModuleWithoutBodies(const Module &m);
 
 /** Canonical 64-bit representation of a value of kind @p k
  *  (truncate to the kind's width, then sign- or zero-extend). */

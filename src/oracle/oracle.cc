@@ -1,5 +1,6 @@
 #include "oracle/oracle.h"
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <unordered_map>
@@ -23,8 +24,9 @@ ExecutionPlan::compile(compiler::CompilationCache &cache,
     ExecutionPlan plan;
     plan.cache_ = &cache;
     plan.outcomes_.reserve(configs.size());
-    plan.aliasOf_.reserve(configs.size());
     plan.keys_.reserve(configs.size());
+    std::vector<compiler::SpecializeInputs> inputs;
+    inputs.reserve(configs.size());
     // Map each binary's execution key to the first outcome that has
     // it: later identical binaries alias their execution to it. Keyed
     // by ir::BinaryKey — a hash and the length of the serialized key,
@@ -39,18 +41,32 @@ ExecutionPlan::compile(compiler::CompilationCache &cache,
     std::unordered_map<ir::BinaryKey, size_t, ir::BinaryKeyHash>
         firstWithKey;
     for (const compiler::CompilerConfig &cfg : configs) {
-        compiler::Binary binary = cache.compile(cfg);
-        ConfigOutcome outcome;
+        const size_t idx = plan.outcomes_.size();
+        inputs.push_back(compiler::specializeInputs(cfg));
+        ConfigOutcome &outcome = plan.outcomes_.emplace_back();
         outcome.config = cfg;
+        // specialize reads nothing of a configuration but its inputs,
+        // so a cell with an earlier cell's inputs is that cell's
+        // binary: copy it, its log, key and alias group.
+        const size_t same = static_cast<size_t>(
+            std::find(inputs.begin(), inputs.end() - 1, inputs.back()) -
+            inputs.begin());
+        if (same < idx) {
+            cache.noteReuse(cfg);
+            const ConfigOutcome &from = plan.outcomes_[same];
+            outcome.module = ir::cloneModule(from.module);
+            outcome.log = from.log;
+            outcome.aliasRoot = from.aliasRoot;
+            outcome.reused = true;
+            plan.keys_.push_back(plan.keys_[same]);
+            continue;
+        }
+        compiler::Binary binary = cache.compile(cfg);
         outcome.log = std::move(binary.log);
         outcome.module = std::move(binary.module);
-        size_t idx = plan.outcomes_.size();
-        ir::BinaryKey key = ir::binaryKey(outcome.module);
-        auto [it, inserted] = firstWithKey.emplace(key, idx);
-        plan.aliasOf_.push_back(it->second);
+        const ir::BinaryKey key = ir::binaryKey(outcome.module);
+        outcome.aliasRoot = firstWithKey.emplace(key, idx).first->second;
         plan.keys_.push_back(key);
-        plan.outcomes_.push_back(std::move(outcome));
-        (void)inserted;
     }
     return plan;
 }
@@ -63,8 +79,9 @@ ExecutionPlan::run(vm::Machine &machine, uint64_t stepLimit)
     // identically under every ExecOptions (see ir::executionKey), so
     // aliases copy the root's result instead of re-running.
     for (size_t i = 0; i < outcomes_.size(); i++) {
-        if (aliasOf_[i] != i) {
-            outcomes_[i].result = outcomes_[aliasOf_[i]].result;
+        const size_t root = outcomes_[i].aliasRoot;
+        if (root != i) {
+            outcomes_[i].result = outcomes_[root].result;
             machine.noteDedupSkip();
             continue;
         }
@@ -104,7 +121,7 @@ ExecutionPlan::run(vm::Machine &machine, uint64_t stepLimit)
     std::map<size_t, size_t> traceIdxOfRoot;
     std::vector<std::vector<SourceLoc>> traces(silent.size());
     for (size_t k = 0; k < silent.size(); k++) {
-        size_t root = aliasOf_[silent[k]];
+        size_t root = outcomes_[silent[k]].aliasRoot;
         auto [it, inserted] = traceIdxOfRoot.emplace(root, k);
         if (!inserted) {
             traces[k] = traces[it->second];

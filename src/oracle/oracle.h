@@ -44,6 +44,13 @@ struct ConfigOutcome
      * same configuration a second time.
      */
     ir::Module module;
+    /** Index of the batch's first outcome with the same ir::BinaryKey
+     *  (its own when it is the first): one alias group executes once,
+     *  and harden mode derives one hardened twin per group. */
+    size_t aliasRoot = 0;
+    /** Copied from an earlier outcome with equal
+     *  compiler::SpecializeInputs instead of specialized. */
+    bool reused = false;
 };
 
 /** A (crashing, non-crashing) pair with the oracle verdict. */
@@ -95,6 +102,12 @@ struct DifferentialResult
  * modules at equivalent opt points) execute once; the others copy the
  * result and count a dedup skip on the machine's ExecStats.
  *
+ * A configuration whose compiler::SpecializeInputs equal an earlier
+ * one's is not specialized at all: it copies that outcome's module,
+ * log, key and alias root, and counts its specialization through
+ * CompilationCache::noteReuse, so the compile counters read as if it
+ * had been built.
+ *
  * The ir::BinaryKey computed per outcome for that dedup is retained
  * and handed to every machine.run() call, so the machine's CodeCache
  * resolves each binary to its flattened bytecode without a second
@@ -116,12 +129,13 @@ class ExecutionPlan
 
     size_t size() const { return outcomes_.size(); }
 
+    /** The compiled outcomes, not executed yet. */
+    const std::vector<ConfigOutcome> &outcomes() const { return outcomes_; }
+
   private:
     /** For the trace accounting of the debugger re-executions. */
     compiler::CompilationCache *cache_ = nullptr;
     std::vector<ConfigOutcome> outcomes_;
-    /** Index of the first outcome with an identical execution key. */
-    std::vector<size_t> aliasOf_;
     /** Each outcome's ir::BinaryKey, computed once at compile time and
      *  handed to the machine so its CodeCache never re-serializes a
      *  module it is about to execute. */
@@ -131,12 +145,14 @@ class ExecutionPlan
 /**
  * Compile the cache's program under every configuration, execute
  * through @p machine, and apply crash-site mapping to every discrepant
- * pair — ExecutionPlan::compile + run. No configuration is ever
- * compiled twice, the cache shares lowering/early-opt work across
- * calls, and the machine shares its arenas across the whole batch (the
- * campaign passes one cache and one machine per program through its
- * whole sanitizer matrix). The step limit is a required argument: the
- * campaign plumbs CampaignConfig::stepLimit end to end.
+ * pair — ExecutionPlan::compile + run. Each distinct set of
+ * specialization inputs is specialized once (a configuration with the
+ * inputs of an earlier one copies its binary), the cache shares
+ * lowering/early-opt work across calls, and the machine shares its
+ * arenas across the whole batch (the campaign passes one cache and one
+ * machine per program through its whole sanitizer matrix). The step
+ * limit is a required argument: the campaign plumbs
+ * CampaignConfig::stepLimit end to end.
  */
 DifferentialResult
 runDifferential(compiler::CompilationCache &cache, vm::Machine &machine,

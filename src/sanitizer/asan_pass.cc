@@ -115,7 +115,7 @@ class FrameEscapes
 } // namespace
 
 void
-runAsanPass(Module &m, const SanitizerContext &ctx)
+runAsanPass(const Module &src, Module &m, const SanitizerContext &ctx)
 {
     int vi = ctx.bugs.vendor() == Vendor::LLVM ? 1 : 0;
     covRun[vi].hit();
@@ -145,7 +145,9 @@ runAsanPass(Module &m, const SanitizerContext &ctx)
     // Frame (2o) and global (2o + 1) objects already store-checked in
     // the current block, for the adjacent-store bug.
     ir::RegTable<bool> checkedStoreObjects;
-    for (Function &f : m.functions) {
+    for (size_t fi = 0; fi < m.functions.size(); fi++) {
+        const Function &sf = src.functions[fi];
+        Function &f = m.functions[fi];
         // Stack redzones for source-level objects (compiler temps stay
         // plain, like spill slots in real ASan).
         for (ir::FrameObject &obj : f.frame) {
@@ -163,17 +165,17 @@ runAsanPass(Module &m, const SanitizerContext &ctx)
 
         // Read only by the escaped-scope bug.
         const std::vector<uint8_t> *escaped =
-            escapedScopeBug ? &escapes.compute(f) : nullptr;
+            escapedScopeBug ? &escapes.compute(sf) : nullptr;
         const uint32_t numObjectKeys = static_cast<uint32_t>(
             2 * std::max(f.frame.size(), m.globals.size()));
 
         // The new body, sized for the most checks the old one can
         // gain: one per Load or Store, two per MemCopy. The loop reads
-        // only the old body, so the instructions `defs` points at stay
-        // put.
-        size_t most = f.insts.size();
+        // the old body from @p src, so the instructions `defs` points
+        // at stay put.
+        size_t most = sf.insts.size();
         bool scopeEnds = false;
-        for (const Inst &inst : f.insts) {
+        for (const Inst &inst : sf.insts) {
             most += inst.op == Opcode::MemCopy ? 2
                     : inst.op == Opcode::Load || inst.op == Opcode::Store
                         ? 1
@@ -181,14 +183,12 @@ runAsanPass(Module &m, const SanitizerContext &ctx)
             scopeEnds |= inst.op == Opcode::LifetimeEnd;
         }
         // Read only at LifetimeEnd markers, which many functions lack.
-        // Found before the loop rewrites the block ranges it walks.
         const std::vector<uint8_t> *cyclic =
-            scopeEnds ? &cycles.cyclicBlocks(f) : nullptr;
+            scopeEnds ? &cycles.cyclicBlocks(sf) : nullptr;
         std::vector<Inst> out;
         out.reserve(most);
-        for (size_t b = 0; b < f.blocks.size(); b++) {
-            BasicBlock &bb = f.blocks[b];
-            const std::span<const Inst> body = f.instsOf(bb);
+        for (size_t b = 0; b < sf.blocks.size(); b++) {
+            const std::span<const Inst> body = sf.instsOf(sf.blocks[b]);
             const uint32_t begin = static_cast<uint32_t>(out.size());
             defs.reset(f.numRegs);
             checkedStoreObjects.reset(numObjectKeys);
@@ -376,7 +376,8 @@ runAsanPass(Module &m, const SanitizerContext &ctx)
                 defs.note(inst);
                 out.push_back(inst);
             }
-            bb = {begin, static_cast<uint32_t>(out.size()) - begin};
+            f.blocks[b] = {begin,
+                           static_cast<uint32_t>(out.size()) - begin};
         }
         f.insts = std::move(out);
     }

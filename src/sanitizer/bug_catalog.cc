@@ -196,14 +196,27 @@ bugInfo(BugId id)
     return bugCatalog()[static_cast<size_t>(id)];
 }
 
-ActiveBugs::ActiveBugs(Vendor vendor, int version, OptLevel level)
-    : vendor_(vendor), level_(level)
+ActiveBugs::ActiveBugs(Vendor vendor, int version, OptLevel level,
+                       SanitizerKind sanitizer)
+    : vendor_(vendor), sanitizer_(sanitizer)
 {
     for (const BugInfo &b : bugCatalog()) {
+        if (b.sanitizer != sanitizer)
+            continue;
+        const uint64_t bit = uint64_t{1} << static_cast<unsigned>(b.id);
+        scope_ |= bit;
         if (b.vendor == vendor && version >= b.introducedVersion &&
             optAtLeast(level, b.minLevel) && optAtLeast(b.maxLevel, level))
-            mask_ |= uint64_t{1} << static_cast<unsigned>(b.id);
+            mask_ |= bit;
     }
+}
+
+void
+ActiveBugs::foreignBug(BugId id) const
+{
+    UBF_PANIC("a ", sanitizerName(sanitizer_), " pass asked about ",
+              bugInfo(id).name, ", a ",
+              sanitizerName(bugInfo(id).sanitizer), " bug");
 }
 
 } // namespace ubfuzz::san

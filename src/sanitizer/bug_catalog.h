@@ -118,34 +118,52 @@ const std::vector<BugInfo> &bugCatalog();
 const BugInfo &bugInfo(BugId id);
 
 /**
- * The set of catalog bugs active for one compiler configuration.
+ * The bugs of one sanitizer active for one compiler configuration.
  * Passes consult this before each (mis)behaving decision, so the
  * constructor evaluates every bug's gate once (vendor, version window,
- * level band) and active() is a bit test. A default-constructed set
- * is empty.
+ * level band) and active() is a bit test.
+ *
+ * The set is scoped to its sanitizer: asking about a bug of that
+ * sanitizer (of either vendor) answers, asking about another
+ * sanitizer's bug panics. So (vendor, sanitizer, mask) is all a
+ * sanitizer pass can learn of its configuration's bugs, which is what
+ * lets compiler::SpecializeInputs compare configurations by it. A
+ * default-constructed set belongs to no sanitizer and holds nothing.
  */
 class ActiveBugs
 {
   public:
     ActiveBugs() = default;
 
-    ActiveBugs(Vendor vendor, int version, OptLevel level);
+    ActiveBugs(Vendor vendor, int version, OptLevel level,
+               SanitizerKind sanitizer);
 
     bool
     active(BugId id) const
     {
-        return (mask_ >> static_cast<unsigned>(id)) & 1;
+        const uint64_t bit = uint64_t{1} << static_cast<unsigned>(id);
+        if (!(scope_ & bit))
+            foreignBug(id);
+        return mask_ & bit;
     }
 
     Vendor vendor() const { return vendor_; }
-    OptLevel level() const { return level_; }
+    SanitizerKind sanitizer() const { return sanitizer_; }
+    /** Bit i: BugId i is active. */
+    uint64_t mask() const { return mask_; }
+
+    friend bool operator==(const ActiveBugs &, const ActiveBugs &) =
+        default;
 
   private:
     static_assert(kNumBugs <= 64, "ActiveBugs packs the catalog in a word");
 
+    [[noreturn]] void foreignBug(BugId id) const;
+
     Vendor vendor_ = Vendor::GCC;
-    OptLevel level_ = OptLevel::O0;
-    /** Bit i: BugId i is active. */
+    SanitizerKind sanitizer_ = SanitizerKind::None;
+    /** Bit i: BugId i belongs to sanitizer_. */
+    uint64_t scope_ = 0;
     uint64_t mask_ = 0;
 };
 
@@ -155,12 +173,17 @@ struct BugFiring
 {
     BugId id;
     SourceLoc loc;
+
+    friend bool operator==(const BugFiring &, const BugFiring &) = default;
 };
 
 /** Everything a compilation wants to tell the fuzzer about itself. */
 struct CompileLog
 {
     std::vector<BugFiring> firings;
+
+    friend bool operator==(const CompileLog &, const CompileLog &) =
+        default;
 
     void fire(BugId id, SourceLoc loc) { firings.push_back({id, loc}); }
 

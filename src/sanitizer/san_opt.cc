@@ -89,6 +89,19 @@ runSanOpt(Module &m, const SanitizerContext &ctx)
     int vi = ctx.bugs.vendor() == Vendor::LLVM ? 1 : 0;
     covRun[vi].hit();
 
+    // Every module runs through here, so the two bugs asked about
+    // outside a check of their own sanitizer are asked only of theirs
+    // (ActiveBugs panics on another sanitizer's bug). Elsewhere the
+    // answer could not matter: a module without AsanChecks has no
+    // checked addresses to keep across a free(), and one without
+    // UbsanArith checks none to drop.
+    const bool dupAcrossFreeBug =
+        ctx.kind == SanitizerKind::ASan &&
+        ctx.bugs.active(BugId::GccAsanSanOptDupAcrossFree);
+    const bool widenedResultBug =
+        ctx.kind == SanitizerKind::UBSan &&
+        ctx.bugs.active(BugId::GccUbsanSanOptWidenedResultRemoved);
+
     DefMap defs;
     // ASan duplicate elimination state, per block. Checked addresses
     // are keyed by pointer provenance: "the pointer loaded from object
@@ -253,10 +266,7 @@ runSanOpt(Module &m, const SanitizerContext &ctx)
                   case Opcode::Malloc:
                   case Opcode::MemCopy:
                   case Opcode::LifetimeEnd: {
-                    bool is_free = inst.op == Opcode::Free;
-                    if (is_free &&
-                        ctx.bugs.active(
-                            BugId::GccAsanSanOptDupAcrossFree)) {
+                    if (inst.op == Opcode::Free && dupAcrossFreeBug) {
                         // Defect: the check cache survives free().
                         free_since_clear = true;
                     } else {
@@ -280,8 +290,7 @@ runSanOpt(Module &m, const SanitizerContext &ctx)
             // widening Cast. Compacts the block in place again: slot
             // `kept` is written only after every slot up to i >= kept
             // was read, and the scan reads ahead of i only.
-            if (ctx.bugs.active(
-                    BugId::GccUbsanSanOptWidenedResultRemoved)) {
+            if (widenedResultBug) {
                 const std::span<const Inst> insts(f.insts.data() + begin,
                                                   w - begin);
                 uint32_t kept = begin;
@@ -332,33 +341,35 @@ runSanOpt(Module &m, const SanitizerContext &ctx)
     }
 }
 
-void
-instrument(Module &m, const SanitizerContext &ctx)
+Module
+instrument(const Module &src, const SanitizerContext &ctx)
 {
-    if (ctx.kind == SanitizerKind::None)
-        return;
-    // The staged compiler hands out cached modules for specialization;
-    // each must be cloned first, and a module that already went through
-    // a sanitizer pass can never go through one again.
-    UBF_ASSERT(m.instrumentedWith == SanitizerKind::None,
+    // A module that already went through a sanitizer pass can never go
+    // through one again.
+    UBF_ASSERT(src.instrumentedWith == SanitizerKind::None,
                "module already instrumented with ",
-               sanitizerName(m.instrumentedWith),
-               " (missing ir::cloneModule before specialize?)");
+               sanitizerName(src.instrumentedWith));
+    if (ctx.kind == SanitizerKind::None)
+        return ir::cloneModule(src);
+    // Every instrumenting pass writes each body anew, so the bodies of
+    // @p src are read, never copied.
+    Module m = ir::cloneModuleWithoutBodies(src);
     m.instrumentedWith = ctx.kind;
     switch (ctx.kind) {
       case SanitizerKind::None:
         break;
       case SanitizerKind::ASan:
-        runAsanPass(m, ctx);
+        runAsanPass(src, m, ctx);
         break;
       case SanitizerKind::UBSan:
-        runUbsanPass(m, ctx);
+        runUbsanPass(src, m, ctx);
         break;
       case SanitizerKind::MSan:
-        runMsanPass(m, ctx);
+        runMsanPass(src, m, ctx);
         break;
     }
     runSanOpt(m, ctx);
+    return m;
 }
 
 } // namespace ubfuzz::san

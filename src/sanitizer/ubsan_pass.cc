@@ -5,7 +5,6 @@
 
 namespace ubfuzz::san {
 
-using ir::BasicBlock;
 using ir::Function;
 using ir::Inst;
 using ir::Module;
@@ -104,16 +103,17 @@ firstUse(const Function &f, std::span<const Inst> body, size_t idx,
 } // namespace
 
 void
-runUbsanPass(Module &m, const SanitizerContext &ctx)
+runUbsanPass(const Module &src, Module &m, const SanitizerContext &ctx)
 {
     int vi = ctx.bugs.vendor() == Vendor::LLVM ? 1 : 0;
     covRun[vi].hit();
 
     DefMap defs;
-    for (Function &f : m.functions) {
+    for (size_t fi = 0; fi < m.functions.size(); fi++) {
+        const Function &f = src.functions[fi];
         // The new body, sized for the most checks the old one can
         // gain: one per checked Bin, bounded Gep, Load or Store, two
-        // per MemCopy. The loop reads only the old body, so the
+        // per MemCopy. The loop reads the old body from @p src, so the
         // instructions `defs` points at stay put.
         size_t most = f.insts.size();
         for (const Inst &inst : f.insts)
@@ -126,8 +126,9 @@ runUbsanPass(Module &m, const SanitizerContext &ctx)
                         : 0;
         std::vector<Inst> out;
         out.reserve(most);
-        for (BasicBlock &bb : f.blocks) {
-            const std::span<const Inst> body = f.instsOf(bb);
+        Function &g = m.functions[fi];
+        for (size_t b = 0; b < f.blocks.size(); b++) {
+            const std::span<const Inst> body = f.instsOf(f.blocks[b]);
             const uint32_t begin = static_cast<uint32_t>(out.size());
             defs.reset(f.numRegs);
             for (size_t idx = 0; idx < body.size(); idx++) {
@@ -353,9 +354,10 @@ runUbsanPass(Module &m, const SanitizerContext &ctx)
                 defs.note(inst);
                 out.push_back(inst);
             }
-            bb = {begin, static_cast<uint32_t>(out.size()) - begin};
+            g.blocks[b] = {begin,
+                           static_cast<uint32_t>(out.size()) - begin};
         }
-        f.insts = std::move(out);
+        g.insts = std::move(out);
     }
 }
 
@@ -367,7 +369,7 @@ static ubfuzz::CovSite covMsanBranch("llvm.msan.branch_check",
                                      CovKind::Line);
 
 void
-runMsanPass(Module &m, const SanitizerContext &ctx)
+runMsanPass(const Module &src, Module &m, const SanitizerContext &ctx)
 {
     covMsanRun.hit();
     m.msan.enabled = true;
@@ -377,7 +379,8 @@ runMsanPass(Module &m, const SanitizerContext &ctx)
         m.msan.bugSubConstDefined = true;
         ctx.fire(BugId::LlvmMsanSubConstDefined);
     }
-    for (Function &f : m.functions) {
+    for (size_t fi = 0; fi < m.functions.size(); fi++) {
+        const Function &f = src.functions[fi];
         // The new body, sized for one check per branch or checksum.
         size_t most = f.insts.size();
         for (const Inst &inst : f.insts)
@@ -387,9 +390,10 @@ runMsanPass(Module &m, const SanitizerContext &ctx)
                         : 0;
         std::vector<Inst> out;
         out.reserve(most);
-        for (BasicBlock &bb : f.blocks) {
+        Function &g = m.functions[fi];
+        for (size_t b = 0; b < f.blocks.size(); b++) {
             const uint32_t begin = static_cast<uint32_t>(out.size());
-            for (const Inst &inst : f.instsOf(bb)) {
+            for (const Inst &inst : f.instsOf(f.blocks[b])) {
                 if ((inst.op == Opcode::CondBr ||
                      inst.op == Opcode::Checksum) &&
                     inst.a.isReg()) {
@@ -402,9 +406,10 @@ runMsanPass(Module &m, const SanitizerContext &ctx)
                 }
                 out.push_back(inst);
             }
-            bb = {begin, static_cast<uint32_t>(out.size()) - begin};
+            g.blocks[b] = {begin,
+                           static_cast<uint32_t>(out.size()) - begin};
         }
-        f.insts = std::move(out);
+        g.insts = std::move(out);
     }
 }
 

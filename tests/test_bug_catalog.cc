@@ -34,7 +34,7 @@ TEST_P(CatalogSweep, MetadataInvariants)
     bool active_somewhere = false;
     for (OptLevel l : kAllOptLevels) {
         active_somewhere |=
-            ActiveBugs(b.vendor, trunkVersion(b.vendor), l)
+            ActiveBugs(b.vendor, trunkVersion(b.vendor), l, b.sanitizer)
                 .active(b.id);
     }
     EXPECT_TRUE(active_somewhere) << b.name;
@@ -204,8 +204,8 @@ TEST(Catalog, ActivityIsMonotoneInVersion)
         bool seen = false;
         for (int v = firstStableVersion(b.vendor);
              v <= trunkVersion(b.vendor); v++) {
-            bool active =
-                ActiveBugs(b.vendor, v, b.minLevel).active(b.id);
+            bool active = ActiveBugs(b.vendor, v, b.minLevel, b.sanitizer)
+                              .active(b.id);
             if (seen)
                 EXPECT_TRUE(active) << b.name << " v" << v;
             seen |= active;
@@ -214,36 +214,65 @@ TEST(Catalog, ActivityIsMonotoneInVersion)
     }
 }
 
-/** ActiveBugs answers from a mask built once per configuration; the
- *  mask must agree with the catalog's gate everywhere, including one
- *  version past either end of the release window. */
+/** ActiveBugs answers from a mask built once per configuration and
+ *  sanitizer; the mask must agree with the catalog's gate everywhere,
+ *  including one version past either end of the release window, and
+ *  hold no bug of another sanitizer: each row is one sanitizer's. */
 TEST(Catalog, ActiveBugsMatchesTheCatalogPredicate)
 {
     size_t active_pairs = 0;
-    for (Vendor v : {Vendor::GCC, Vendor::LLVM}) {
-        for (int version = firstStableVersion(v) - 1;
-             version <= trunkVersion(v) + 1; version++) {
-            for (OptLevel l : kAllOptLevels) {
-                ActiveBugs bugs(v, version, l);
-                EXPECT_EQ(bugs.vendor(), v);
-                EXPECT_EQ(bugs.level(), l);
-                for (const BugInfo &b : bugCatalog()) {
-                    bool expected = b.vendor == v &&
-                                    version >= b.introducedVersion &&
-                                    optAtLeast(l, b.minLevel) &&
-                                    optAtLeast(b.maxLevel, l);
-                    EXPECT_EQ(bugs.active(b.id), expected)
-                        << b.name << " " << vendorName(v) << "-"
+    for (SanitizerKind s :
+         {SanitizerKind::ASan, SanitizerKind::UBSan, SanitizerKind::MSan}) {
+        for (Vendor v : {Vendor::GCC, Vendor::LLVM}) {
+            for (int version = firstStableVersion(v) - 1;
+                 version <= trunkVersion(v) + 1; version++) {
+                for (OptLevel l : kAllOptLevels) {
+                    ActiveBugs bugs(v, version, l, s);
+                    EXPECT_EQ(bugs.vendor(), v);
+                    EXPECT_EQ(bugs.sanitizer(), s);
+                    uint64_t mask = 0;
+                    for (const BugInfo &b : bugCatalog()) {
+                        bool expected = b.sanitizer == s &&
+                                        b.vendor == v &&
+                                        version >= b.introducedVersion &&
+                                        optAtLeast(l, b.minLevel) &&
+                                        optAtLeast(b.maxLevel, l);
+                        if (b.sanitizer == s) {
+                            EXPECT_EQ(bugs.active(b.id), expected)
+                                << b.name << " " << vendorName(v) << "-"
+                                << version << " " << optLevelName(l);
+                        }
+                        if (expected)
+                            mask |= uint64_t{1}
+                                    << static_cast<unsigned>(b.id);
+                        active_pairs += expected ? 1 : 0;
+                    }
+                    EXPECT_EQ(bugs.mask(), mask)
+                        << sanitizerName(s) << " " << vendorName(v) << "-"
                         << version << " " << optLevelName(l);
-                    active_pairs += expected ? 1 : 0;
                 }
             }
         }
     }
     EXPECT_GT(active_pairs, 0u);
     // A default-constructed set (no configuration) enables nothing.
-    for (const BugInfo &b : bugCatalog())
-        EXPECT_FALSE(ActiveBugs().active(b.id)) << b.name;
+    EXPECT_EQ(ActiveBugs().mask(), 0u);
+    EXPECT_EQ(ActiveBugs().sanitizer(), SanitizerKind::None);
+}
+
+/** A set answers only about its own sanitizer's bugs: a pass asking
+ *  about another's would read an input the set does not carry. */
+TEST(CatalogDeathTest, AskingAboutAnotherSanitizersBugPanics)
+{
+    const ActiveBugs ubsan(Vendor::GCC, trunkVersion(Vendor::GCC),
+                           OptLevel::O2, SanitizerKind::UBSan);
+    EXPECT_FALSE(ubsan.active(BugId::LlvmUbsanMulAsAdd));
+    EXPECT_DEATH_IF_SUPPORTED(
+        (void)ubsan.active(BugId::GccAsanSanOptDupAcrossFree),
+        "a ubsan pass asked about gcc-asan-sanopt-dup-across-free");
+    EXPECT_DEATH_IF_SUPPORTED(
+        (void)ActiveBugs().active(BugId::LlvmMsanSubConstDefined),
+        "a none pass asked about");
 }
 
 } // namespace

@@ -355,16 +355,17 @@ TEST(BugCatalog, VersionAndLevelGating)
 {
     using san::ActiveBugs;
     using san::BugId;
+    constexpr SanitizerKind kASan = SanitizerKind::ASan;
     // GccAsanStructCopyNoCheck: GCC only, since v5, -O2 and up.
-    EXPECT_TRUE(ActiveBugs(Vendor::GCC, 14, OptLevel::O2)
+    EXPECT_TRUE(ActiveBugs(Vendor::GCC, 14, OptLevel::O2, kASan)
                     .active(BugId::GccAsanStructCopyNoCheck));
-    EXPECT_TRUE(ActiveBugs(Vendor::GCC, 5, OptLevel::O3)
+    EXPECT_TRUE(ActiveBugs(Vendor::GCC, 5, OptLevel::O3, kASan)
                     .active(BugId::GccAsanStructCopyNoCheck));
-    EXPECT_FALSE(ActiveBugs(Vendor::GCC, 14, OptLevel::O0)
+    EXPECT_FALSE(ActiveBugs(Vendor::GCC, 14, OptLevel::O0, kASan)
                      .active(BugId::GccAsanStructCopyNoCheck));
-    EXPECT_FALSE(ActiveBugs(Vendor::GCC, 4, OptLevel::O2)
+    EXPECT_FALSE(ActiveBugs(Vendor::GCC, 4, OptLevel::O2, kASan)
                      .active(BugId::GccAsanStructCopyNoCheck));
-    EXPECT_FALSE(ActiveBugs(Vendor::LLVM, 14, OptLevel::O2)
+    EXPECT_FALSE(ActiveBugs(Vendor::LLVM, 14, OptLevel::O2, kASan)
                      .active(BugId::GccAsanStructCopyNoCheck));
 }
 

@@ -23,6 +23,7 @@
 #include "opt/pass.h"
 #include "oracle/oracle.h"
 #include "sanitizer/sanitizer.h"
+#include "support/coverage.h"
 #include "support/serialize.h"
 #include "ubgen/ubgen.h"
 #include "vm/vm.h"
@@ -247,6 +248,182 @@ TEST(Passes, EarlyOptPrefixTreeMatchesEarlyOptFromScratch)
     EXPECT_GT(programs, 100u);
 }
 
+/**
+ * Which coverage sites (and branch arms) have been hit since the last
+ * CoverageRegistry::resetHits(), one entry per site.
+ */
+std::vector<uint64_t>
+coverageHits()
+{
+    const CoverageRegistry &reg = CoverageRegistry::instance();
+    std::vector<uint64_t> hits;
+    for (const std::string &name : reg.siteNames()) {
+        const CovReport r = reg.report(name);
+        hits.push_back(r.lineHit);
+        hits.push_back(r.funcHit);
+        hits.push_back(r.branchHit);
+    }
+    return hits;
+}
+
+TEST(Passes, ReusedCellsAndHardenedTwinsMatchTheirBuildsAlone)
+{
+    // ExecutionPlan::compile copies a cell whose SpecializeInputs
+    // equal an earlier cell's instead of specializing it, and harden
+    // mode derives each outcome's hardened twin from the plain binary
+    // of its alias group (CompilationCache::hardenedTwin). For every
+    // UB program of the sweep, each reused cell, and each outcome's
+    // twin under every hardening mask, must key and log exactly as its
+    // configuration compiled alone does, and every one of them counts
+    // as the specialization it stands for. A reused cell must also
+    // hit, built alone, the coverage sites its source cell hits (the
+    // vendor picks them): the matrix is swept at trunk and at the
+    // release before any injected bug, where both vendors' -O0 cells
+    // build one binary and only the vendor tells them apart. Printing
+    // is the slow part, so it is compared where a binary stands in for
+    // another configuration's: every reused cell, and every twin
+    // derived from another configuration's plain binary under both
+    // families (a twin of its own plain binary differs from the build
+    // alone only in when harden::apply ran).
+    CoverageRegistry &coverage = CoverageRegistry::instance();
+    size_t reused = 0, twins = 0;
+    forEachUBProgram([&](uint64_t seed, const ubgen::UBProgram &ub,
+                         const ast::PrintedProgram &printed) {
+        // compile(program, printed, c) is specialize(earlyOptimize(
+        // lowerOnce(...))): each (vendor, level)'s early opt runs once
+        // from scratch here, off the cache's prefix tree, and every
+        // configuration is specialized alone from it.
+        const ir::Module base = compiler::lowerOnce(*ub.program, printed);
+        std::map<std::pair<Vendor, OptLevel>, ir::Module> early;
+        auto alone = [&](const CompilerConfig &c) {
+            auto it = early.find({c.vendor, c.level});
+            if (it == early.end())
+                it = early
+                         .emplace(std::pair{c.vendor, c.level},
+                                  compiler::earlyOptimize(
+                                      ir::cloneModule(base), c.vendor,
+                                      c.level))
+                         .first;
+            return compiler::specialize(it->second, c);
+        };
+        auto expectAlone = [&](const ir::Module &m,
+                               const san::CompileLog &log,
+                               const CompilerConfig &c, bool print) {
+            const Binary b = alone(c);
+            if (print)
+                EXPECT_EQ(ir::printModule(m), ir::printModule(b.module))
+                    << "seed " << seed << ", " << c.str();
+            EXPECT_TRUE(ir::binaryKey(m) == ir::binaryKey(b.module))
+                << "seed " << seed << ", " << c.str();
+            EXPECT_TRUE(log == b.log) << "seed " << seed << ", " << c.str();
+        };
+        compiler::CompilationCache cache(*ub.program, printed);
+        size_t requests = 0;
+        for (SanitizerKind s : ubgen::sanitizersFor(ub.kind)) {
+            for (const bool trunk : {true, false}) {
+                std::vector<CompilerConfig> configs =
+                    oracle::testingMatrix(s);
+                for (CompilerConfig &c : configs)
+                    c.version = trunk ? 0 : firstStableVersion(c.vendor) - 1;
+                const oracle::ExecutionPlan plan =
+                    oracle::ExecutionPlan::compile(cache, configs);
+                for (size_t i = 0; i < plan.size(); i++) {
+                    const oracle::ConfigOutcome &oc = plan.outcomes()[i];
+                    requests++;
+                    // At trunk, which cells reuse follows from the
+                    // catalog: LLVM -O3 those of -O2 in every row, LLVM
+                    // -Os those of -O1 outside UBSan
+                    // (llvm-ubsan-mul-as-add is gated at -Os).
+                    if (trunk)
+                        EXPECT_EQ(oc.reused,
+                                  oc.config.vendor == Vendor::LLVM &&
+                                      (oc.config.level == OptLevel::O3 ||
+                                       (oc.config.level == OptLevel::Os &&
+                                        s != SanitizerKind::UBSan)))
+                            << "seed " << seed << ", " << oc.config.str();
+                    if (oc.reused) {
+                        reused++;
+                        expectAlone(oc.module, oc.log, oc.config, true);
+                        const compiler::SpecializeInputs in =
+                            compiler::specializeInputs(oc.config);
+                        size_t from = 0;
+                        while (compiler::specializeInputs(configs[from]) !=
+                               in)
+                            from++;
+                        coverage.resetHits();
+                        alone(configs[from]);
+                        const std::vector<uint64_t> fromHits =
+                            coverageHits();
+                        coverage.resetHits();
+                        alone(oc.config);
+                        EXPECT_EQ(coverageHits(), fromHits)
+                            << "seed " << seed << ", " << oc.config.str()
+                            << " reusing " << configs[from].str();
+                    }
+                    if (!trunk)
+                        continue;
+                    for (uint32_t mask : {harden::kDuplicateCompare,
+                                          harden::kCfgSignature,
+                                          harden::kAllFamilies}) {
+                        CompilerConfig hc = oc.config;
+                        hc.harden = mask;
+                        const ir::Module twin = cache.hardenedTwin(
+                            plan.outcomes()[oc.aliasRoot].module, hc);
+                        requests++;
+                        twins++;
+                        expectAlone(twin, oc.log, hc,
+                                    oc.aliasRoot != i &&
+                                        mask == harden::kAllFamilies);
+                    }
+                }
+            }
+        }
+        const compiler::CompileStats &st = cache.stats();
+        EXPECT_EQ(st.specializations, requests) << "seed " << seed;
+        EXPECT_EQ(st.earlyOptRuns + st.earlyOptCacheHits, requests)
+            << "seed " << seed;
+    });
+    EXPECT_GT(reused, 300u);
+    EXPECT_GT(twins, 3000u);
+}
+
+TEST(Clone, WithoutBodiesKeepsEverythingElse)
+{
+    // ir::cloneModuleWithoutBodies copies field by field; given its
+    // bodies back, the copy must print and key as the original, for
+    // lowered modules and for binaries whose globals, frames and flags
+    // the sanitizer and hardening passes set.
+    size_t programs = 0, modules = 0;
+    forEachUBProgram([&](uint64_t seed, const ubgen::UBProgram &ub,
+                         const ast::PrintedProgram &printed) {
+        // Every pass and field shows up well within the first programs.
+        if (programs++ >= 24)
+            return;
+        std::vector<ir::Module> ms;
+        ms.push_back(compiler::lowerOnce(*ub.program, printed));
+        for (SanitizerKind s : {SanitizerKind::ASan, SanitizerKind::UBSan,
+                                SanitizerKind::MSan})
+            ms.push_back(compiler::compile(*ub.program, printed,
+                                           cfg(Vendor::LLVM, OptLevel::O2,
+                                               s, harden::kAllFamilies))
+                             .module);
+        for (const ir::Module &m : ms) {
+            ir::Module copy = ir::cloneModuleWithoutBodies(m);
+            ASSERT_EQ(copy.functions.size(), m.functions.size());
+            for (size_t i = 0; i < m.functions.size(); i++) {
+                EXPECT_TRUE(copy.functions[i].insts.empty());
+                copy.functions[i].insts = m.functions[i].insts;
+            }
+            EXPECT_EQ(ir::printModule(copy), ir::printModule(m))
+                << "seed " << seed;
+            EXPECT_EQ(ir::executionKey(copy), ir::executionKey(m))
+                << "seed " << seed;
+            modules++;
+        }
+    });
+    EXPECT_EQ(modules, 96u);
+}
+
 /** verifyModule accepts @p m, and a clone of @p m prints and keys
  *  the same as @p m. */
 ::testing::AssertionResult
@@ -290,12 +467,11 @@ TEST(Passes, EachPassAloneLeavesTheUBProgramsWellFormed)
         }
         for (SanitizerKind s : ubgen::sanitizersFor(ub.kind)) {
             for (const CompilerConfig &c : oracle::testingMatrix(s)) {
-                ir::Module m = ir::cloneModule(base);
                 san::SanitizerContext ctx;
                 ctx.kind = s;
                 ctx.bugs = san::ActiveBugs(c.vendor, c.effectiveVersion(),
-                                           c.level);
-                san::instrument(m, ctx);
+                                           c.level, s);
+                const ir::Module m = san::instrument(base, ctx);
                 steps++;
                 ASSERT_TRUE(wellFormed(m))
                     << "seed " << seed << ", " << sanitizerName(s) << " "
