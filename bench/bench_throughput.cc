@@ -18,6 +18,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include <sys/resource.h>
+
 #include "bench_util.h"
 #include "fuzzer/orchestrator.h"
 #include "support/parse_num.h"
@@ -131,18 +133,18 @@ main(int argc, char **argv)
     // Bytecode engine: every execution resolves through the per-unit
     // CodeCache exactly once, so executions == translations + hits; a
     // binary re-executed (the debugger trace runs) is a hit, never a
-    // second flattening.
+    // second flattening, so in ubfuzz mode hits == trace re-execs.
     std::printf("translations:     %zu\n", stats.exec.translations);
     std::printf("translation hits: %zu\n", stats.exec.translationHits);
     std::printf("dedup skips:      %zu\n", stats.exec.dedupSkips);
     std::printf("corpus replays:   %zu\n", stats.exec.corpusSkips);
-    // Cap pressure: how often the corpus memo / per-unit code cache
-    // were full and recomputed instead of admitting. Nonzero here means
-    // the caps are bounding memory on this workload — results are
-    // bit-identical either way (test_orchestrator pins that), but the
-    // work saved by the caches shrinks.
+    // Cap pressure: how often the corpus memo was full and recomputed
+    // instead of admitting, and how many translations the per-unit
+    // code cache's window dropped. Results are bit-identical either way
+    // (test_orchestrator pins that); evictions cost work only when a
+    // dropped binary runs again, which shows as fewer translation hits.
     std::printf("memo cap rejects: %zu\n", stats.exec.corpusCapRejects);
-    std::printf("cache cap rejects: %zu\n",
+    std::printf("cache evictions:  %zu\n",
                 stats.exec.translationCapRejects);
     std::printf("unique programs:  %zu (cross-seed duplicates: %zu)\n",
                 stats.uniquePrograms(), stats.corpusDuplicates);
@@ -168,5 +170,11 @@ main(int argc, char **argv)
     std::printf("finding digest:   %016llx\n",
                 static_cast<unsigned long long>(
                     fuzzer::findingsDigest(stats)));
+    // The process's largest resident set so far (ru_maxrss is in KiB
+    // on Linux): the caches' memory bound, end to end.
+    struct rusage ru;
+    if (getrusage(RUSAGE_SELF, &ru) == 0)
+        std::printf("peak rss:         %.1f MB\n",
+                    static_cast<double>(ru.ru_maxrss) / 1024.0);
     return 0;
 }

@@ -240,8 +240,8 @@ class Campaign
         unit_ = index;
         runUnitInner(index);
         // The unit's bytecode cache dissolves with it; fold its
-        // stop-admitting count into the unit's work counters so the
-        // campaign totals expose cap pressure.
+        // eviction count into the unit's work counters so the campaign
+        // totals show how many translations the window dropped.
         stats_.exec.translationCapRejects += codeCache_.capRejects();
         return std::move(stats_);
     }
@@ -423,12 +423,16 @@ class Campaign
 
     /**
      * One bytecode cache per unit: every machine of the unit — the
-     * per-program differential machines and the classifier below —
-     * resolves modules through it, so a binary executed more than once
-     * (the debugger re-execution of a silent binary, a re-validated
-     * module) is flattened exactly once. Single-threaded like the
-     * compilation caches; the orchestrator's parallelism is across
-     * units. Declared before the machines that point at it.
+     * per-program differential machines, the fault-oracle machine and
+     * the classifier below — resolves modules through it, so a binary
+     * executed more than once (the debugger re-execution of a silent
+     * binary, a hardened twin shared by an alias group, a fault run)
+     * is flattened once. Those re-runs follow their first run within
+     * one matrix row, so the cache keeps only a window of recent
+     * translations (cfg.codeCacheCap) rather than every binary of the
+     * unit. Single-threaded like the compilation caches; the
+     * orchestrator's parallelism is across units. Declared before the
+     * machines that point at it.
      */
     vm::CodeCache codeCache_;
 

@@ -28,6 +28,7 @@
 #include "harden/harden.h"
 #include "sanitizer/bug_catalog.h"
 #include "ubgen/ubgen.h"
+#include "vm/bytecode.h"
 #include "vm/vm.h"
 
 namespace ubfuzz::fuzzer {
@@ -140,16 +141,23 @@ struct CampaignConfig
      */
     bool corpusDedup = true;
     /**
-     * Entry caps of the campaign-wide corpus memo and the per-unit
-     * bytecode cache (defaults mirror CorpusMemo::kDefaultMaxEntries
-     * and vm::CodeCache::kDefaultMaxEntries). Both caches stop
-     * admitting when full and recompute instead, so caps bound memory
-     * without changing any logical result — tests shrink them to 4 and
-     * assert the digest and stats are bit-identical, with only the
-     * ExecStats cap-reject counters knowing the difference.
+     * Entry cap of the campaign-wide corpus memo (default mirrors
+     * CorpusMemo::kDefaultMaxEntries). A full memo stops admitting and
+     * recomputes duplicates instead.
      */
     size_t corpusMemoCap = 16384;
-    size_t codeCacheCap = 1024;
+    /**
+     * Window of the per-unit bytecode cache: it keeps this many
+     * translations, least recent out first. The default is one
+     * testing-matrix row plus its hardened twins, the span in which a
+     * translation is reused (see vm::CodeCache::kDefaultMaxEntries).
+     * Neither cap changes any logical result: tests shrink both to 4
+     * and assert the digest and stats are bit-identical, with only the
+     * ExecStats cap-reject counters knowing the difference, and assert
+     * that the default window loses no translation hit an unbounded
+     * one gets.
+     */
+    size_t codeCacheCap = vm::CodeCache::kDefaultMaxEntries;
     /**
      * Harden mode: deterministic single-bit faults injected per
      * hardened clean-seed program (`--fault-rate` on the CLI). Each

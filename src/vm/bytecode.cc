@@ -1,5 +1,8 @@
 #include "vm/bytecode.h"
 
+#include <algorithm>
+#include <iterator>
+
 #include "support/diagnostics.h"
 
 namespace ubfuzz::vm {
@@ -348,17 +351,30 @@ std::shared_ptr<const bc::Program>
 CodeCache::translation(const ir::Module &m, const ir::BinaryKey &key,
                        bool *wasHit)
 {
-    auto it = map_.find(key);
+    // Scan from the most recent end: a hit is usually a re-run of a
+    // binary of the row that just ran.
+    auto it = std::find_if(window_.rbegin(), window_.rend(),
+                           [&](const Entry &e) { return e.key == key; });
     if (wasHit)
-        *wasHit = it != map_.end();
-    if (it != map_.end())
-        return it->second;
-    auto prog = std::make_shared<const bc::Program>(bc::translate(m));
-    if (map_.size() < maxEntries_)
-        map_.emplace(key, prog);
-    else
-        capRejects_++;
-    return prog;
+        *wasHit = it != window_.rend();
+    if (it != window_.rend()) {
+        auto pos = std::prev(it.base());
+        std::rotate(pos, std::next(pos), window_.end());
+        return window_.back().program;
+    }
+    if (maxEntries_ == 0) {
+        evictions_++;
+        return std::make_shared<const bc::Program>(bc::translate(m));
+    }
+    // Evict before translating, so the window never holds more than
+    // maxEntries_ translations and the new one can reuse the memory.
+    if (window_.size() == maxEntries_) {
+        evictions_++;
+        window_.erase(window_.begin());
+    }
+    window_.push_back(
+        {key, std::make_shared<const bc::Program>(bc::translate(m))});
+    return window_.back().program;
 }
 
 } // namespace ubfuzz::vm

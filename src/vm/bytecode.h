@@ -29,9 +29,9 @@
  * Translations are keyed by ir::BinaryKey — a word-wise hash and the
  * length of the module's executionKey serialization, which covers
  * *everything* the VM reads — so one translation serves every
- * execution of a byte-identical binary: the silent matrix run, the
- * lazy debugger re-execution with tracing, and any later machine that
- * shares the cache.
+ * execution of a byte-identical binary while it stays in the cache's
+ * window: the silent matrix run, the lazy debugger re-execution with
+ * tracing, and any later machine that shares the cache.
  */
 
 #ifndef UBFUZZ_VM_BYTECODE_H
@@ -39,7 +39,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "ir/ir.h"
@@ -209,25 +208,40 @@ Program translate(const ir::Module &m);
 } // namespace bc
 
 /**
- * Memoized translations keyed by ir::BinaryKey. One cache serves a
- * whole campaign unit: every machine of the unit (the per-program
- * differential machines and the ground-truth classifier) asks it
- * before flattening, so a binary executed more than once — the
- * debugger re-execution of a silent binary is the common case — is
- * translated exactly once.
+ * Memoized translations keyed by ir::BinaryKey, kept in a
+ * least-recently-used window. One cache serves a whole campaign unit:
+ * every machine of the unit (the per-program differential machines
+ * and the ground-truth classifier) asks it before flattening, so a
+ * binary executed more than once while it is still in the window —
+ * the debugger re-execution of a silent binary is the common case —
+ * is translated exactly once.
+ *
+ * A hit makes its entry the most recent; a miss evicts the least
+ * recent entry when the window is full, then translates and inserts
+ * the binary as the most recent. Every re-run a unit makes follows its
+ * first run within one testing-matrix row (see kDefaultMaxEntries), so
+ * the default window gets every hit an unbounded cache would while
+ * holding ~20 translations instead of every binary the unit ran.
+ * Eviction changes which runs re-translate, never a result.
  *
  * Not thread-safe by design, like compiler::CompilationCache: one per
  * campaign unit, and the orchestrator's parallelism is across units.
- * The entry cap bounds memory like fuzzer::CorpusMemo's: a full cache
- * stops admitting and hands out uncached translations (identical
- * results, a little less work saved).
  */
 class CodeCache
 {
   public:
-    /** Default memory bound; tests shrink it to prove results are
-     *  cap-independent (see CampaignConfig::codeCacheCap). */
-    static constexpr size_t kDefaultMaxEntries = 1024;
+    /**
+     * Default window: one testing-matrix row (2 vendors x 5 opt levels)
+     * plus the row's hardened twins, 2 x 5 x 2 = 20. A row's silent
+     * binaries are re-run for crash-site mapping and its twins for
+     * their alias groups before the next row compiles, and the fault
+     * oracle re-runs one binary back to back, so nothing older is read
+     * again (test_orchestrator's DefaultCodeCacheWindowLosesNoReuse
+     * checks every source mode). Tests also shrink and unbound it to
+     * prove results are window-independent (see
+     * CampaignConfig::codeCacheCap).
+     */
+    static constexpr size_t kDefaultMaxEntries = 20;
 
     explicit CodeCache(size_t maxEntries = kDefaultMaxEntries)
         : maxEntries_(maxEntries)
@@ -247,12 +261,15 @@ class CodeCache
     translation(const ir::Module &m, const ir::BinaryKey &key,
                 bool *wasHit = nullptr);
 
-    size_t size() const { return map_.size(); }
+    size_t size() const { return window_.size(); }
 
-    /** Translations not retained because the cache was full (the
-     *  stop-admitting counter; the campaign folds it into
-     *  vm::ExecStats::translationCapRejects per unit). */
-    size_t capRejects() const { return capRejects_; }
+    /** Translations dropped from the window: each eviction, and with a
+     *  window of 0 each translation, which is never retained. So
+     *  translations == size() + capRejects(). The campaign folds it
+     *  into vm::ExecStats::translationCapRejects per unit; the name
+     *  predates the window and campaignbench's traced replica reads
+     *  it. */
+    size_t capRejects() const { return evictions_; }
 
     /** Always 0 since the fused tier was removed; kept because
      *  campaignbench's traced replica still folds it into
@@ -264,16 +281,18 @@ class CodeCache
     size_t fusedRecords() const { return 0; }
 
   private:
-    /** Memory bound: translations are retained per distinct binary. */
-    size_t maxEntries_;
-    size_t capRejects_ = 0;
+    struct Entry
+    {
+        ir::BinaryKey key;
+        std::shared_ptr<const bc::Program> program;
+    };
 
-    /** The key carries its own finalized 64-bit hash, so the
-     *  unordered lookup is hash-mix + one bucket probe — no O(log n)
-     *  ordered compares on the per-execution hot path. */
-    std::unordered_map<ir::BinaryKey, std::shared_ptr<const bc::Program>,
-                       ir::BinaryKeyHash>
-        map_;
+    size_t maxEntries_;
+    size_t evictions_ = 0;
+    /** Least recent first. A linear scan of ~20 hash-and-length keys
+     *  costs less than a map lookup plus a recency list, and needs
+     *  neither. */
+    std::vector<Entry> window_;
 };
 
 } // namespace ubfuzz::vm

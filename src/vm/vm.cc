@@ -2094,11 +2094,13 @@ struct Machine::Impl
 #undef UBFUZZ_BC_LABEL
         };
 #define VM_CASE(name) H_##name
-// Replicated dispatch: every handler ends with its *own* copy of the
-// step preamble and indirect jump instead of funneling through one
-// shared dispatch point. One jump site per handler lets the branch
-// predictor learn per-opcode successor patterns — the classic
-// direct-threading win on top of the label table itself.
+// Every handler ends with its own copy of the step preamble and
+// indirect jump in the source. The compiled loop does not keep them
+// apart: GCC 12 at -O2 cross-jumps the identical tails, so each mode's
+// execProgram has 3-4 indirect jumps, not one per handler (objdump of
+// the RelWithDebInfo build). -fno-crossjumping on this file restores
+// 51 indirect jumps per mode without a measurable speedup in
+// bench_exec's ns/step, so the build does not pass it.
 #define VM_NEXT()                                                      \
     do {                                                               \
         if (done_)                                                     \

@@ -197,9 +197,11 @@ struct ExecStats
      */
     size_t corpusCapRejects = 0;
     /**
-     * Translations handed out but not retained because the CodeCache
-     * had stopped admitting at its entry cap (a later run of the same
-     * binary re-flattens instead of hitting).
+     * Translations the CodeCache's window dropped (CodeCache::
+     * capRejects: evictions of its least recent entry, or every
+     * translation at a window of 0); a later run of a dropped binary
+     * re-flattens instead of hitting. The name predates the window;
+     * campaignbench's traced replica reads it.
      */
     size_t translationCapRejects = 0;
     /** Always 0 since the fused tier was removed; still merged and

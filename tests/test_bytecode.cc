@@ -4,9 +4,14 @@
  * flattened interpreter against the reference struct-walking one,
  * over every UB kind, every dispatch mode, and sanitizer-instrumented
  * binaries), translation-time exhaustiveness of the opcode table, and
- * CodeCache accounting (one translation per distinct binary,
- * executions == translations + hits).
+ * CodeCache accounting (one translation per distinct binary in the
+ * window, executions == translations + hits) and its least-recently-
+ * used eviction.
  */
+
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -280,6 +285,79 @@ TEST(CodeCache, SharedAcrossMachines)
     EXPECT_EQ(m2.stats().translations, 0u);
     EXPECT_EQ(m2.stats().translationHits, 1u);
     EXPECT_EQ(cache.size(), 1u);
+}
+
+/** Ask @p cache for @p mod; true when it was served from the window. */
+bool
+hitIn(vm::CodeCache &cache, const ir::Module &mod)
+{
+    bool hit = false;
+    cache.translation(mod, ir::binaryKey(mod), &hit);
+    return hit;
+}
+
+TEST(CodeCache, HitRefreshesRecency)
+{
+    // Window of 2 with A, B, A, C: the hit on A makes B the least
+    // recent, so C evicts B and A still hits.
+    ir::Module a = lowerSource("int main(void) { return 1; }");
+    ir::Module b = lowerSource("int main(void) { return 2; }");
+    ir::Module c = lowerSource("int main(void) { return 3; }");
+    vm::CodeCache cache(2);
+    EXPECT_FALSE(hitIn(cache, a));
+    EXPECT_FALSE(hitIn(cache, b));
+    EXPECT_TRUE(hitIn(cache, a));
+    EXPECT_EQ(cache.capRejects(), 0u);
+    EXPECT_FALSE(hitIn(cache, c));
+    EXPECT_EQ(cache.capRejects(), 1u);
+    EXPECT_TRUE(hitIn(cache, a));
+    EXPECT_TRUE(hitIn(cache, c));
+    EXPECT_FALSE(hitIn(cache, b));
+    EXPECT_EQ(cache.capRejects(), 2u);
+    EXPECT_EQ(cache.size(), 2u);
+}
+
+TEST(CodeCache, EvictionsAreCountedAndSizeNeverExceedsTheWindow)
+{
+    // Every translation is either in the window or counted as dropped,
+    // and the window never holds more than its size.
+    std::vector<ir::Module> mods;
+    for (int i = 0; i < 7; i++)
+        mods.push_back(lowerSource("int main(void) { return " +
+                                   std::to_string(i) + "; }"));
+    for (size_t window : {size_t{1}, size_t{3}, size_t{7}, SIZE_MAX}) {
+        vm::CodeCache cache(window);
+        size_t translations = 0;
+        for (size_t stride = 1; stride <= 3; stride++) {
+            for (size_t i = 0; i < mods.size(); i += stride) {
+                if (!hitIn(cache, mods[i]))
+                    translations++;
+                EXPECT_LE(cache.size(), window) << "window " << window;
+                EXPECT_EQ(translations, cache.size() + cache.capRejects())
+                    << "window " << window;
+            }
+        }
+        // A window as large as the working set keeps every translation.
+        if (window >= mods.size()) {
+            EXPECT_EQ(translations, mods.size());
+            EXPECT_EQ(cache.capRejects(), 0u);
+        }
+    }
+}
+
+TEST(CodeCache, WindowOfZeroRetainsNothing)
+{
+    // Every request translates, each translation still runs correctly,
+    // and each counts as dropped.
+    ir::Module mod = lowerSource("int main(void) { return 5; }");
+    vm::CodeCache cache(0);
+    vm::Machine m(&cache);
+    EXPECT_EQ(m.run(mod).exitCode, 5);
+    EXPECT_EQ(m.run(mod).exitCode, 5);
+    EXPECT_EQ(m.stats().translations, 2u);
+    EXPECT_EQ(m.stats().translationHits, 0u);
+    EXPECT_EQ(cache.size(), 0u);
+    EXPECT_EQ(cache.capRejects(), 2u);
 }
 
 TEST(CodeCache, ExecutionPlanAccountsTranslationsAndHits)

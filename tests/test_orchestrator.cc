@@ -9,6 +9,7 @@
  */
 
 #include <algorithm>
+#include <cstdint>
 #include <filesystem>
 
 #include <gtest/gtest.h>
@@ -480,27 +481,71 @@ TEST(Service, StopRequestPausesResumably)
 TEST(Service, TinyCapsAreBitIdentical)
 {
     // Shrink the corpus memo and the per-unit code cache to 4 entries:
-    // both stop admitting and recompute instead, so every logical
-    // statistic and the digest are unchanged — only the cap-reject
+    // the memo stops admitting and the cache's window evicts, and both
+    // recompute instead, so every logical statistic and the digest
+    // equal those of an unbounded code cache — only the cap-reject
     // counters (and the other work counters) know the difference.
     CampaignConfig cfg;
     cfg.seed = 11;
     cfg.numSeeds = 10;
     cfg.capPerKind = 2;
     cfg.jobs = 1;
-    CampaignStats normal = runCampaign(cfg);
-    EXPECT_EQ(normal.exec.corpusCapRejects, 0u);
-    EXPECT_EQ(normal.exec.translationCapRejects, 0u);
+    cfg.codeCacheCap = SIZE_MAX;
+    CampaignStats unbounded = runCampaign(cfg);
+    EXPECT_EQ(unbounded.exec.corpusCapRejects, 0u);
+    EXPECT_EQ(unbounded.exec.translationCapRejects, 0u);
 
     cfg.corpusMemoCap = 4;
     cfg.codeCacheCap = 4;
     CampaignStats tiny = runCampaign(cfg);
-    expectIdentical(normal, tiny);
-    EXPECT_EQ(findingsDigest(tiny), findingsDigest(normal));
+    expectIdentical(unbounded, tiny);
+    EXPECT_EQ(findingsDigest(tiny), findingsDigest(unbounded));
     // The caps actually bit on this workload (the comparison above is
     // not vacuous).
     EXPECT_GT(tiny.exec.corpusCapRejects, 0u);
     EXPECT_GT(tiny.exec.translationCapRejects, 0u);
+}
+
+/** The work counters of @p mode's campaign with a code-cache window of
+ *  @p window, minus the evictions (which only an unbounded window
+ *  avoids). */
+vm::ExecStats
+execAtWindow(SourceMode mode, size_t window)
+{
+    CampaignConfig cfg;
+    cfg.source = mode;
+    cfg.seed = 11;
+    cfg.numSeeds = 6;
+    cfg.capPerKind = 2;
+    cfg.jobs = 1;
+    cfg.codeCacheCap = window;
+    vm::ExecStats exec = runCampaign(cfg).exec;
+    exec.translationCapRejects = 0;
+    return exec;
+}
+
+TEST(Service, DefaultCodeCacheWindowLosesNoReuse)
+{
+    // A translation is reused only soon after its first run (the
+    // crash-site re-runs of its matrix row, a twin's re-runs for its
+    // alias group, a program's fault runs), so the default window —
+    // one row plus its hardened twins — gets every translation hit an
+    // unbounded cache gets, in every source mode; a window smaller
+    // than a row does not.
+    for (SourceMode mode :
+         {SourceMode::UBFuzz, SourceMode::Harden, SourceMode::Music,
+          SourceMode::CsmithNoSafe, SourceMode::Juliet}) {
+        SCOPED_TRACE(sourceModeName(mode));
+        const vm::ExecStats unbounded = execAtWindow(mode, SIZE_MAX);
+        EXPECT_GT(unbounded.translationHits, 0u);
+        EXPECT_EQ(execAtWindow(mode, vm::CodeCache::kDefaultMaxEntries),
+                  unbounded);
+        // Juliet's few re-runs all fit in a window of 8.
+        if (mode != SourceMode::Juliet) {
+            EXPECT_LT(execAtWindow(mode, 8).translationHits,
+                      unbounded.translationHits);
+        }
+    }
 }
 
 } // namespace
