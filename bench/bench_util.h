@@ -1,7 +1,7 @@
 /**
  * @file
  * Shared helpers for the bench binaries: bench_paper (every paper
- * table and figure), bench_throughput and bench_exec. Campaign scale
+ * table and figure) and bench_exec. Campaign scale
  * is controlled by UBFUZZ_BENCH_SEEDS; each artifact keeps its own
  * default when it is unset.
  */

@@ -42,15 +42,24 @@
  * SIGINT/SIGTERM pause gracefully: live workers are killed, everything
  * already folded stays journaled, and the exit code is 3 — rerun with
  * `--resume` to continue.
+ *
+ * Every run reports its own work: the compile and execution counters
+ * print above the stats block, and wall time, programs/s and peak RSS
+ * on one stderr line. A complete run panics unless the counters satisfy
+ * the accounting identities (fuzzer::statsInvariantViolation).
  */
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <set>
 #include <string>
+
+#include <sys/resource.h>
 
 #include "fuzzer/orchestrator.h"
 #include "harden/harden.h"
@@ -116,9 +125,37 @@ requireValue(int argc, char **argv, int &i)
     return argv[++i];
 }
 
+/**
+ * Print a campaign's stats: first the compile and execution work
+ * counters, then the result block from "UB programs tested:" down,
+ * which .github/stats-hash pins and CI parses by label, so the work
+ * block repeats none of its labels. The counters' identities
+ * (statsInvariantViolation) were checked before this prints.
+ */
 void
 printStats(const fuzzer::CampaignStats &stats)
 {
+    const compiler::CompileStats &c = stats.compile;
+    const vm::ExecStats &e = stats.exec;
+    std::printf("\nlowerings:                %zu (derived: %zu)\n",
+                c.lowerings, c.deltaLowerings);
+    std::printf("early-opt runs:           %zu (hits: %zu)\n",
+                c.earlyOptRuns, c.earlyOptCacheHits);
+    std::printf("specializations:          %zu (trace re-executions: "
+                "%zu)\n",
+                c.specializations, c.traceExecutions);
+    std::printf("machines built:           %zu (resets: %zu)\n",
+                e.machinesBuilt, e.resets);
+    std::printf("executions:               %zu (dedup skips: %zu)\n",
+                e.executions, e.dedupSkips);
+    std::printf("translations:             %zu (hits: %zu, evictions: "
+                "%zu)\n",
+                e.translations, e.translationHits,
+                e.translationCapRejects);
+    std::printf("corpus replays:           %zu (memo cap rejects: %zu)\n",
+                e.corpusSkips, e.corpusCapRejects);
+    std::printf("fault injections:         %zu\n", e.faultInjections);
+
     std::printf("\nUB programs tested:       %zu\n", stats.ubPrograms);
     std::printf("programs without UB:      %zu\n", stats.noUB);
     std::printf("non-triggering (skipped): %zu\n",
@@ -408,12 +445,27 @@ main(int argc, char **argv)
         };
     }
 
+    auto t0 = std::chrono::steady_clock::now();
     fuzzer::ServiceResult res = fuzzer::runCampaignService(cfg, opts);
+    double secs = std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count();
 
     std::printf("units: %d owned, %d replayed, %d run%s\n",
                 res.unitsOwned, res.unitsReplayed, res.unitsRun,
                 res.complete ? "" : " (paused)");
     printStats(res.stats);
+    // Timing and memory vary run to run, so they go to stderr and
+    // stdout stays comparable across runs and pool sizes. ru_maxrss
+    // is the process's peak resident set in KiB on Linux.
+    struct rusage ru = {};
+    getrusage(RUSAGE_SELF, &ru);
+    std::fprintf(stderr,
+                 "wall time %.3f s, %.1f programs/s, peak rss %.1f MB\n",
+                 secs,
+                 static_cast<double>(res.stats.ubPrograms) /
+                     std::max(secs, 1e-9),
+                 static_cast<double>(ru.ru_maxrss) / 1024.0);
     if (!res.complete) {
         std::printf("campaign paused%s; rerun with --resume to "
                     "continue\n",

@@ -217,7 +217,6 @@ class Expr : public Node
     }
 
     const Type *type() const { return typeAt(type_); }
-    void setType(const Type *t) { type_ = TypeTable::refOf(t); }
 
   protected:
     Expr(ASTContext *ctx, NodeKind kind, uint32_t id, const Type *type)
@@ -345,8 +344,6 @@ class Select : public Expr
     Expr *trueExpr() const { return derefAs<Expr>(true_); }
     Expr *falseExpr() const { return derefAs<Expr>(false_); }
     void setCond(Expr *e) { cond_ = refOf(e); }
-    void setTrueExpr(Expr *e) { true_ = refOf(e); }
-    void setFalseExpr(Expr *e) { false_ = refOf(e); }
 
   private:
     NodeIndex cond_;
@@ -529,7 +526,6 @@ class ExprStmt : public Stmt
     {}
 
     Expr *expr() const { return derefAs<Expr>(expr_); }
-    void setExpr(Expr *e) { expr_ = refOf(e); }
 
   private:
     NodeIndex expr_;
@@ -663,7 +659,6 @@ class VarDecl : public Node
     const Type *type() const { return typeAt(type_); }
     Storage storage() const { return storage_; }
     Expr *init() const { return derefAs<Expr>(init_); }
-    void setInit(Expr *e) { init_ = refOf(e); }
 
   private:
     uint32_t nameOff_;

@@ -48,14 +48,6 @@ class Printer
         return result;
     }
 
-    void
-    printExprOnly(const Expr *e)
-    {
-        printExpr(e);
-    }
-
-    std::string takeText() { return std::move(out_); }
-
   private:
     void
     emit(std::string_view s)
@@ -409,14 +401,6 @@ std::string
 programText(const Program &program)
 {
     return printProgram(program).text;
-}
-
-std::string
-exprText(const Expr *e)
-{
-    Printer p;
-    p.printExprOnly(e);
-    return p.takeText();
 }
 
 } // namespace ubfuzz::ast

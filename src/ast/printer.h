@@ -63,9 +63,6 @@ PrintedProgram printProgram(const Program &program);
 /** Convenience: just the text. */
 std::string programText(const Program &program);
 
-/** Print a single expression (no location recording); for diagnostics. */
-std::string exprText(const Expr *e);
-
 } // namespace ubfuzz::ast
 
 #endif // UBFUZZ_AST_PRINTER_H

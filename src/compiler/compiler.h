@@ -32,6 +32,7 @@
 #define UBFUZZ_COMPILER_COMPILER_H
 
 #include <array>
+#include <compare>
 #include <optional>
 #include <string>
 #include <utility>
@@ -66,13 +67,8 @@ struct CompilerConfig
     /** Command-line-style rendering, e.g. "gcc-14 -O2 -fsanitize=asan". */
     std::string str() const;
 
-    friend bool
-    operator==(const CompilerConfig &a, const CompilerConfig &b)
-    {
-        return a.vendor == b.vendor && a.version == b.version &&
-               a.level == b.level && a.sanitizer == b.sanitizer &&
-               a.harden == b.harden;
-    }
+    friend auto operator<=>(const CompilerConfig &,
+                            const CompilerConfig &) = default;
 };
 
 /** A compiled artifact: IR plus debug metadata plus the compile log. */
@@ -116,7 +112,7 @@ SpecializeInputs specializeInputs(const CompilerConfig &config);
 
 /**
  * Execution counters for the staged pipeline. The campaign accumulates
- * these per unit (CampaignStats::compile) and bench_throughput prints
+ * these per unit (CampaignStats::compile) and the campaign CLI prints
  * them, making hot-path regressions — a reintroduced re-lowering or
  * double compile — visible as a counter jump instead of a silent
  * slowdown.

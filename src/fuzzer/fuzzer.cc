@@ -1,6 +1,7 @@
 #include "fuzzer/fuzzer.h"
 
 #include <algorithm>
+#include <iterator>
 #include <map>
 #include <optional>
 
@@ -20,32 +21,31 @@ namespace ubfuzz::fuzzer {
 
 using ubgen::UBKind;
 
+namespace {
+
+/** Every source mode's CLI name, indexed by SourceMode. */
+constexpr const char *kSourceModeNames[] = {
+    "ubfuzz", "music", "nosafe", "juliet", "harden",
+};
+static_assert(std::size(kSourceModeNames) ==
+              static_cast<size_t>(SourceMode::Harden) + 1);
+
+} // namespace
+
 const char *
 sourceModeName(SourceMode m)
 {
-    switch (m) {
-      case SourceMode::UBFuzz: return "ubfuzz";
-      case SourceMode::Music: return "music";
-      case SourceMode::CsmithNoSafe: return "csmith-nosafe";
-      case SourceMode::Juliet: return "juliet";
-      case SourceMode::Harden: return "harden";
-    }
-    return "?";
+    size_t i = static_cast<size_t>(m);
+    return i < std::size(kSourceModeNames) ? kSourceModeNames[i] : "?";
 }
 
 std::optional<SourceMode>
 parseSourceMode(std::string_view text)
 {
-    if (text == "ubfuzz")
-        return SourceMode::UBFuzz;
-    if (text == "music")
-        return SourceMode::Music;
-    if (text == "nosafe")
-        return SourceMode::CsmithNoSafe;
-    if (text == "juliet")
-        return SourceMode::Juliet;
-    if (text == "harden")
-        return SourceMode::Harden;
+    for (size_t i = 0; i < std::size(kSourceModeNames); i++) {
+        if (text == kSourceModeNames[i])
+            return static_cast<SourceMode>(i);
+    }
     return std::nullopt;
 }
 
@@ -740,7 +740,7 @@ class Campaign
                 } else {
                     delta.invalidFindings++;
                 }
-                if (delta.findings.size() < 200)
+                if (delta.findings.size() < CampaignStats::kMaxFindings)
                     delta.findings.push_back(rec);
             }
         }
@@ -833,7 +833,7 @@ mergeCampaignStats(CampaignStats &into, CampaignStats &&from)
         }
     }
     for (auto &rec : from.findings) {
-        if (into.findings.size() >= 200)
+        if (into.findings.size() >= CampaignStats::kMaxFindings)
             break;
         into.findings.push_back(rec);
     }

@@ -14,13 +14,13 @@
 #ifndef UBFUZZ_FUZZER_FUZZER_H
 #define UBFUZZ_FUZZER_FUZZER_H
 
+#include <compare>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <set>
 #include <string_view>
-#include <tuple>
 #include <vector>
 
 #include "compiler/compiler.h"
@@ -49,12 +49,14 @@ enum class SourceMode : uint8_t {
     Harden,
 };
 
+/** The mode's CLI name: "ubfuzz", "music", "nosafe", "juliet", or
+ *  "harden". */
 const char *sourceModeName(SourceMode m);
 
 /**
- * Strict inverse of sourceModeName for the CLI (`--mode`): exactly
- * "ubfuzz", "music", "nosafe", "juliet", or "harden"; anything else —
- * including prefixes and trailing junk — is std::nullopt.
+ * Strict inverse of sourceModeName for the CLI (`--mode`): exactly one
+ * of the five names; anything else — including prefixes and trailing
+ * junk — is std::nullopt.
  */
 std::optional<SourceMode> parseSourceMode(std::string_view text);
 
@@ -206,25 +208,8 @@ struct CorpusKey
     ubgen::UBKind kind = ubgen::UBKind::BufferOverflowArray;
     SourceLoc ubLoc;
 
-    auto
-    tie() const
-    {
-        return std::make_tuple(textHash, textLen,
-                               static_cast<int>(kind), ubLoc.line,
-                               ubLoc.offset);
-    }
-
-    friend bool
-    operator<(const CorpusKey &a, const CorpusKey &b)
-    {
-        return a.tie() < b.tie();
-    }
-
-    friend bool
-    operator==(const CorpusKey &a, const CorpusKey &b)
-    {
-        return a.tie() == b.tie();
-    }
+    friend auto operator<=>(const CorpusKey &, const CorpusKey &) =
+        default;
 };
 
 /** One oracle-selected (program, missing-config) finding. */
@@ -238,31 +223,10 @@ struct FindingRecord
     bool groundTruthBug = false;
     int attributedBug = -1; ///< san::BugId when groundTruthBug
 
-    /** Total order so finding sets are comparable across runs. */
-    auto
-    key() const
-    {
-        auto cc = [](const compiler::CompilerConfig &c) {
-            return std::make_tuple(static_cast<int>(c.vendor), c.version,
-                                   static_cast<int>(c.level),
-                                   static_cast<int>(c.sanitizer));
-        };
-        return std::make_tuple(static_cast<int>(kind), cc(crashing),
-                               cc(missing), ubLoc.line, ubLoc.offset,
-                               groundTruthBug, attributedBug);
-    }
-
-    friend bool
-    operator<(const FindingRecord &a, const FindingRecord &b)
-    {
-        return a.key() < b.key();
-    }
-
-    friend bool
-    operator==(const FindingRecord &a, const FindingRecord &b)
-    {
-        return a.key() == b.key();
-    }
+    /** Total order (member by member) so finding sets are comparable
+     *  across runs. */
+    friend auto operator<=>(const FindingRecord &,
+                            const FindingRecord &) = default;
 };
 
 /**
@@ -352,7 +316,10 @@ struct CampaignStats
      *  bug — candidate invalid reports (the paper's Figure 8 case). */
     size_t invalidFindings = 0;
 
-    std::vector<FindingRecord> findings; ///< capped sample
+    /** The first kMaxFindings findings in unit order: a sample, which
+     *  is all findingsDigest sees. */
+    static constexpr size_t kMaxFindings = 200;
+    std::vector<FindingRecord> findings;
 
     /**
      * Staged-compiler execution counters: how many lowerings, early-opt
@@ -377,7 +344,7 @@ struct CampaignStats
 
     /**
      * Supervised-execution counters (`--isolate`; all zero otherwise,
-     * which bench_throughput's CI smoke asserts). Crash-free runs keep
+     * which test_orchestrator asserts). Crash-free runs keep
      * all four at zero, so they never perturb the digest grid; with
      * failures (real or injected) every failed attempt lands in
      * exactly one of crashes/timeouts, every re-attempt in `retried`,
@@ -532,7 +499,7 @@ ubgen::UBKind kindOfReport(vm::ReportKind r);
 /**
  * Order-independent digest of a campaign's findings (FNV-1a over the
  * sorted records). The cross-PR invariant: the digest is identical for
- * every `--jobs` value and unchanged by corpus dedup; bench_throughput
+ * every `--jobs` value and unchanged by corpus dedup; the campaign CLI
  * prints it and CI asserts it.
  */
 uint64_t findingsDigest(const CampaignStats &stats);
@@ -547,9 +514,9 @@ uint64_t findingsDigest(const CampaignStats &stats);
  * `machines built + corpus replays == ub programs + hardened fault
  * programs`. Returns an empty
  * string when all hold, else a description of the first violation —
- * the campaign service panics on it after every replay-involved run,
- * so stats-accounting drift on resume fails loudly instead of
- * corrupting merged totals silently.
+ * the campaign service panics on it after every complete run, so
+ * accounting drift (live, on resume or in a shard) fails loudly
+ * instead of corrupting totals silently.
  */
 std::string statsInvariantViolation(const CampaignStats &stats);
 

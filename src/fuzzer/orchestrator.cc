@@ -230,13 +230,12 @@ runCampaignService(const CampaignConfig &config,
     // pack is the supervision counters (quarantined == 1), so the
     // merged count *is* the unit count — for fresh and replayed alike.
     res.unitsQuarantined = static_cast<int>(res.stats.quarantined);
-    if (res.complete && opts.store && res.unitsReplayed > 0) {
-        // Stats-accounting drift on resume fails loudly: the merged
-        // (replayed + fresh) totals must satisfy the same per-unit
-        // accounting identities a single-process run does.
+    if (res.complete) {
+        // Accounting drift fails loudly: every complete run's totals
+        // (live, replayed, isolated or a shard's) must satisfy the
+        // per-unit accounting identities.
         std::string violation = statsInvariantViolation(res.stats);
-        UBF_ASSERT(violation.empty(),
-                   "journal replay drifted from live accounting: ",
+        UBF_ASSERT(violation.empty(), "campaign accounting drifted: ",
                    violation);
     }
     return res;

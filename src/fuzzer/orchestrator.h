@@ -102,10 +102,9 @@ struct ServiceResult
  * Run a campaign (or one shard of it) as a checkpointable service:
  * replay the store's journal, fold completed units in unit order, run
  * and journal only the remaining ones. Kill + resume reproduces the
- * uninterrupted result bit for bit, for any `--jobs` value. After a
- * complete run that replayed journal records, the merged accounting
- * invariants are re-asserted (statsInvariantViolation) so resume drift
- * fails loudly.
+ * uninterrupted result bit for bit, for any `--jobs` value. After
+ * every complete run the accounting invariants are asserted
+ * (statsInvariantViolation), so accounting drift fails loudly.
  */
 ServiceResult runCampaignService(const CampaignConfig &config,
                                  const ServiceOptions &options);

@@ -168,23 +168,6 @@ struct Inst
         return op == Opcode::Br || op == Opcode::CondBr ||
                op == Opcode::Ret;
     }
-
-    /** Does executing this instruction write memory? */
-    bool
-    writesMemory() const
-    {
-        return op == Opcode::Store || op == Opcode::MemCopy ||
-               op == Opcode::Call || op == Opcode::Malloc ||
-               op == Opcode::Free;
-    }
-
-    /** Is this a sanitizer check or poison-management instruction
-     *  (hardening checks included — instrumentation, not payload)? */
-    bool
-    isSanitizerOp() const
-    {
-        return op >= Opcode::AsanCheck && op <= Opcode::HardenCheck;
-    }
 };
 
 static_assert(std::is_trivially_copyable_v<Inst>,

@@ -186,16 +186,6 @@ struct CompileLog
         default;
 
     void fire(BugId id, SourceLoc loc) { firings.push_back({id, loc}); }
-
-    /** Did any bug fire at (or affecting) this source location? */
-    bool
-    firedAt(SourceLoc loc) const
-    {
-        for (const BugFiring &f : firings)
-            if (f.loc == loc)
-                return true;
-        return false;
-    }
 };
 
 } // namespace ubfuzz::san

@@ -10,6 +10,7 @@
 #ifndef UBFUZZ_SUPPORT_SOURCE_LOC_H
 #define UBFUZZ_SUPPORT_SOURCE_LOC_H
 
+#include <compare>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -26,17 +27,8 @@ struct SourceLoc
 
     constexpr bool isValid() const { return line > 0; }
 
-    friend constexpr bool
-    operator==(const SourceLoc &a, const SourceLoc &b)
-    {
-        return a.line == b.line && a.offset == b.offset;
-    }
-
-    friend constexpr bool
-    operator<(const SourceLoc &a, const SourceLoc &b)
-    {
-        return a.line != b.line ? a.line < b.line : a.offset < b.offset;
-    }
+    friend constexpr auto operator<=>(const SourceLoc &,
+                                      const SourceLoc &) = default;
 
     std::string
     str() const

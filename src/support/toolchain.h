@@ -96,13 +96,6 @@ trunkVersion(Vendor v)
     return lastStableVersion(v) + 1;
 }
 
-/** Release year of a version (GCC 5 = 2015, LLVM 5 = 2017; ~1/year). */
-inline int
-releaseYear(Vendor v, int version)
-{
-    return v == Vendor::GCC ? 2010 + version : 2012 + version;
-}
-
 } // namespace ubfuzz
 
 #endif // UBFUZZ_SUPPORT_TOOLCHAIN_H

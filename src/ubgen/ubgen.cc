@@ -910,12 +910,6 @@ UBGenerator::UBGenerator(const Program &seed)
 
 UBGenerator::~UBGenerator() = default;
 
-size_t
-UBGenerator::matchCount(UBKind kind) const
-{
-    return impl_->sites[static_cast<size_t>(kind)].size();
-}
-
 bool
 UBGenerator::profiled() const
 {

@@ -74,9 +74,6 @@ class UBGenerator
     UBGenerator(const UBGenerator &) = delete;
     UBGenerator &operator=(const UBGenerator &) = delete;
 
-    /** Number of statically matched sites for a kind. */
-    size_t matchCount(UBKind kind) const;
-
     /** Did the profiling execution complete? */
     bool profiled() const;
 

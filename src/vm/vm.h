@@ -133,10 +133,6 @@ struct ExecResult
     std::vector<SourceLoc> trace;
 
     bool crashed() const { return kind == Kind::Report; }
-    bool cleanOrTrap() const
-    {
-        return kind == Kind::Clean || kind == Kind::Trap;
-    }
 
     /** The crash site per Definition 2 (only valid when crashed()). */
     SourceLoc
@@ -150,7 +146,7 @@ struct ExecResult
 
 /**
  * Execution-engine work counters. A Machine owns one set; the campaign
- * accumulates them per unit (CampaignStats::exec) and bench_throughput
+ * accumulates them per unit (CampaignStats::exec) and the campaign CLI
  * prints them, exactly like compiler::CompileStats. They count work
  * *actually performed*, so a reintroduced machine-per-execution rebuild
  * shows up as `machinesBuilt` jumping from one-per-program back to

@@ -63,6 +63,41 @@ TEST(Campaign, CompileOnceAccounting)
     EXPECT_EQ(stats.productiveSeeds(), stats.seeds);
 }
 
+TEST(Campaign, AccountingCheckNamesEachBrokenIdentity)
+{
+    CampaignConfig cfg;
+    cfg.seed = 11;
+    cfg.numSeeds = 3;
+    cfg.capPerKind = 2;
+    const CampaignStats real = runCampaign(cfg);
+    ASSERT_EQ(statsInvariantViolation(real), "");
+
+    // One counter off by one on a real campaign's totals breaks
+    // exactly one identity, and the message names it.
+    const struct
+    {
+        const char *identity;
+        void (*breakIt)(CampaignStats &);
+    } cases[] = {
+        {"lowerings != productive seeds",
+         [](CampaignStats &s) { s.compile.lowerings++; }},
+        {"early-opt runs + hits != specializations",
+         [](CampaignStats &s) { s.compile.specializations++; }},
+        {"executions != translations + hits",
+         [](CampaignStats &s) { s.exec.translationHits++; }},
+        {"machines built + corpus replays != ub programs + hardened "
+         "programs",
+         [](CampaignStats &s) { s.harden.programs++; }},
+    };
+    for (const auto &c : cases) {
+        CampaignStats broken = real;
+        c.breakIt(broken);
+        std::string violation = statsInvariantViolation(broken);
+        EXPECT_NE(violation.find(c.identity), std::string::npos)
+            << "want '" << c.identity << "', got '" << violation << "'";
+    }
+}
+
 TEST(KindOfReport, MapsEveryReportKindExplicitly)
 {
     using R = vm::ReportKind;

@@ -494,6 +494,24 @@ TEST(Service, TinyCapsAreBitIdentical)
     CampaignStats unbounded = runCampaign(cfg);
     EXPECT_EQ(unbounded.exec.corpusCapRejects, 0u);
     EXPECT_EQ(unbounded.exec.translationCapRejects, 0u);
+    // The work the campaign CLI prints: machines are reset between
+    // runs, identical binaries run once, and every translation reuse
+    // is a debugger trace re-execution (the default window gets every
+    // hit an unbounded one gets: DefaultCodeCacheWindowLosesNoReuse).
+    const vm::ExecStats &work = unbounded.exec;
+    EXPECT_GT(work.resets, 0u);
+    EXPECT_GT(work.dedupSkips, 0u);
+    EXPECT_GT(work.translations, 0u);
+    EXPECT_GT(work.translationHits, 0u);
+    EXPECT_EQ(work.translationHits, unbounded.compile.traceExecutions);
+    // Outside harden mode nothing injects faults or compares twins,
+    // and an in-process run moves no supervision counter.
+    EXPECT_EQ(work.faultInjections, 0u);
+    EXPECT_EQ(unbounded.harden.driftComparisons, 0u);
+    EXPECT_EQ(unbounded.workerCrashes, 0u);
+    EXPECT_EQ(unbounded.workerTimeouts, 0u);
+    EXPECT_EQ(unbounded.retried, 0u);
+    EXPECT_EQ(unbounded.quarantined, 0u);
 
     cfg.corpusMemoCap = 4;
     cfg.codeCacheCap = 4;

@@ -102,6 +102,12 @@ TEST(ParseSourceMode, AcceptsExactModeNames)
               SourceMode::CsmithNoSafe);
     EXPECT_EQ(fuzzer::parseSourceMode("juliet"), SourceMode::Juliet);
     EXPECT_EQ(fuzzer::parseSourceMode("harden"), SourceMode::Harden);
+    // Every mode's printed name is one the CLI accepts, back to it.
+    for (SourceMode m : {SourceMode::UBFuzz, SourceMode::Music,
+                         SourceMode::CsmithNoSafe, SourceMode::Juliet,
+                         SourceMode::Harden})
+        EXPECT_EQ(fuzzer::parseSourceMode(fuzzer::sourceModeName(m)), m)
+            << fuzzer::sourceModeName(m);
 }
 
 TEST(ParseSourceMode, RejectsUnknownPrefixAndCaseVariants)
